@@ -57,20 +57,17 @@ int main() {
     for (const double rate : {1e-6, 1e-5, 1e-4, 1e-3}) {
       // Independent runs execute across the thread pool; per-run injector
       // seeds keep the summary bit-identical at any thread count.
-      const faultsim::CampaignSummary summary = conv.forward_campaign(
-          input, runs,
-          [&](std::size_t run) {
+      const faultsim::CampaignSummary summary =
+          faultsim::run_campaign(runs, [&](std::size_t run) {
             faultsim::FaultConfig cfg;
             cfg.kind = faultsim::FaultKind::kTransient;
             cfg.probability = rate;
             cfg.bit = -1;
-            return reliable::make_executor(
+            const auto exec = reliable::make_executor(
                 scheme,
                 std::make_shared<faultsim::FaultInjector>(cfg, 1000 + run));
-          },
-          [&](std::size_t, const reliable::ReliableResult& result,
-              reliable::Executor& exec) {
-            return faultsim::classify(exec.injector()->stats().faults > 0,
+            const reliable::ReliableResult result = conv.forward(input, *exec);
+            return faultsim::classify(exec->injector()->stats().faults > 0,
                                       !result.report.ok,
                                       result.output == golden);
           });

@@ -28,13 +28,12 @@ inline FabricResult<faultsim::CampaignSummary> run_classify_campaign(
     std::uint64_t total_runs, std::uint64_t seed_base,
     const std::function<faultsim::Outcome(
         std::size_t, const core::HybridClassification&)>& judge,
-    const FabricConfig& config, core::BatchOptions options = {}) {
+    const FabricConfig& config) {
   const std::function<faultsim::CampaignSummary(const ShardDescriptor&)>
-      runner = [&net, &image, &judge, options](const ShardDescriptor& shard) {
+      runner = [&net, &image, &judge](const ShardDescriptor& shard) {
         return net.classify_campaign_range(
             image, static_cast<std::size_t>(shard.run_begin),
-            static_cast<std::size_t>(shard.run_end), shard.seed_base, judge,
-            options);
+            static_cast<std::size_t>(shard.run_end), shard.seed_base, judge);
       };
   return run_fabric<faultsim::CampaignSummary>(config, total_runs, seed_base,
                                                runner);

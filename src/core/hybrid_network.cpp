@@ -61,7 +61,7 @@ reliable::ReliableConv2d HybridNetwork::make_reliable_conv1() const {
 
 HybridNetwork::DependableStage HybridNetwork::dependable_stage(
     const reliable::ReliableConv2d& rconv, const tensor::Tensor& image,
-    std::uint64_t fault_seed, reliable::ReportMode mode) const {
+    std::uint64_t fault_seed) const {
   DependableStage stage;
 
   // --- Reliable (DCNN) stage: conv1 through qualified operators. -----
@@ -70,7 +70,7 @@ HybridNetwork::DependableStage HybridNetwork::dependable_stage(
   const std::unique_ptr<reliable::Executor> exec =
       reliable::make_executor(scheme_id_, injector);
 
-  reliable::ReliableResult rel = rconv.forward(image, *exec, mode);
+  reliable::ReliableResult rel = rconv.forward(image, *exec);
   stage.report = rel.report;
   stage.reliable_ok = rel.report.ok;
 
@@ -181,21 +181,18 @@ HybridClassification HybridNetwork::classify(const tensor::Tensor& image,
 
 HybridClassification HybridNetwork::classify_with_conv1(
     const reliable::ReliableConv2d& rconv, const tensor::Tensor& image,
-    std::uint64_t fault_seed, BatchOptions options) const {
+    std::uint64_t fault_seed) const {
   if (image.shape().rank() != 3) {
     throw std::invalid_argument(
         "HybridNetwork::classify_with_conv1: expected CHW");
   }
-  auto& ctx = runtime::ComputeContext::global();
-  return run_remainder(
-      dependable_stage(rconv, image, fault_seed, options.report),
-      ctx.workspace());
+  return run_remainder(dependable_stage(rconv, image, fault_seed),
+                       runtime::ComputeContext::global().workspace());
 }
 
 HybridNetwork::IntermittentResult HybridNetwork::classify_intermittent(
     const tensor::Tensor& image, FaultSeedStream& seeds,
-    const faultsim::PowerTrace& trace, BatchOptions options,
-    CheckpointMemoryModel memory) const {
+    const faultsim::PowerTrace& trace, CheckpointMemoryModel memory) const {
   if (image.shape().rank() != 3) {
     throw std::invalid_argument(
         "HybridNetwork::classify_intermittent: expected CHW");
@@ -246,8 +243,7 @@ HybridNetwork::IntermittentResult HybridNetwork::classify_intermittent(
   while (next < total_steps) {
     ++result.steps_executed;
     if (next == 0) {
-      DependableStage stage =
-          dependable_stage(rconv, image, seed, options.report);
+      DependableStage stage = dependable_stage(rconv, image, seed);
       if (!power.step()) {  // power failed mid-step: work lost
         next = reboot(result);
         continue;
@@ -296,8 +292,7 @@ void validate_chw(std::size_t count, const tensor::Tensor* const* images,
 
 std::vector<HybridClassification> HybridNetwork::classify_indexed(
     std::size_t count, const tensor::Tensor* const* images,
-    std::uint64_t seed_base, const std::uint64_t* seeds,
-    BatchOptions options) const {
+    std::uint64_t seed_base, const std::uint64_t* seeds) const {
   if (count == 0) return {};
 
   // One reliable kernel (weight copy) for the whole batch; the fault-free
@@ -311,38 +306,21 @@ std::vector<HybridClassification> HybridNetwork::classify_indexed(
 
   auto& ctx = runtime::ComputeContext::global();
   std::vector<HybridClassification> results(count);
-  if (options.remainder == RemainderMode::kFanned) {
-    // The whole per-image pipeline — reliable DCNN, qualifier and CNN
-    // remainder — is a pure function of (weights, image, seed) now that
-    // the remainder runs through the const inference path. One parallel
-    // region covers everything; each chunk writes only its own result
-    // slot, so outputs are bit-identical at every thread count. Nested
-    // parallel regions inside the reliable/vision/GEMM code serialise
-    // inline.
-    ctx.pool().parallel_for(0, count, [&](std::size_t i) {
-      results[i] = run_remainder(
-          dependable_stage(rconv, *images[i], seed_of(i), options.report),
-          ctx.workspace());
-    });
-  } else {
-    // Historical two-phase shape (kept for the benches): dependable
-    // stages in parallel, remainder serially per image — the remainder's
-    // GEMMs then parallelise over tiles instead of images.
-    std::vector<DependableStage> stages(count);
-    ctx.pool().parallel_for(0, count, [&](std::size_t i) {
-      stages[i] =
-          dependable_stage(rconv, *images[i], seed_of(i), options.report);
-    });
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = run_remainder(std::move(stages[i]), ctx.workspace());
-    }
-  }
+  // The whole per-image pipeline — reliable DCNN, qualifier and CNN
+  // remainder — is a pure function of (weights, image, seed). One
+  // parallel region covers everything; each chunk writes only its own
+  // result slot, so outputs are bit-identical at every thread count.
+  // Nested parallel regions inside the reliable/vision/GEMM code
+  // serialise inline.
+  ctx.pool().parallel_for(0, count, [&](std::size_t i) {
+    results[i] = run_remainder(dependable_stage(rconv, *images[i], seed_of(i)),
+                               ctx.workspace());
+  });
   return results;
 }
 
 std::vector<HybridClassification> HybridNetwork::classify_batch(
-    const std::vector<tensor::Tensor>& images, FaultSeedStream& seeds,
-    BatchOptions options) const {
+    const std::vector<tensor::Tensor>& images, FaultSeedStream& seeds) const {
   std::vector<const tensor::Tensor*> ptrs;
   ptrs.reserve(images.size());
   for (const tensor::Tensor& img : images) ptrs.push_back(&img);
@@ -352,40 +330,37 @@ std::vector<HybridClassification> HybridNetwork::classify_batch(
   // an empty batch consumes nothing.
   validate_chw(ptrs.size(), ptrs.data(), "classify_batch");
   const std::uint64_t seed_base = seeds.take_block(ptrs.size());
-  return classify_indexed(ptrs.size(), ptrs.data(), seed_base, nullptr,
-                          options);
+  return classify_indexed(ptrs.size(), ptrs.data(), seed_base, nullptr);
 }
 
 std::vector<HybridClassification> HybridNetwork::classify_repeat(
-    const tensor::Tensor& image, std::size_t runs, FaultSeedStream& seeds,
-    BatchOptions options) const {
+    const tensor::Tensor& image, std::size_t runs,
+    FaultSeedStream& seeds) const {
   const tensor::Tensor* one = &image;
   validate_chw(1, &one, "classify_repeat");
   std::vector<const tensor::Tensor*> ptrs(runs, &image);
   const std::uint64_t seed_base = seeds.take_block(runs);
-  return classify_indexed(ptrs.size(), ptrs.data(), seed_base, nullptr,
-                          options);
+  return classify_indexed(ptrs.size(), ptrs.data(), seed_base, nullptr);
 }
 
 faultsim::CampaignSummary HybridNetwork::classify_campaign(
     const tensor::Tensor& image, std::size_t runs,
     const std::function<faultsim::Outcome(
         std::size_t, const HybridClassification&)>& judge,
-    FaultSeedStream& seeds, BatchOptions options) const {
+    FaultSeedStream& seeds) const {
   if (image.shape().rank() != 3) {
     throw std::invalid_argument(
         "HybridNetwork::classify_campaign: expected CHW");
   }
   const std::uint64_t seed_base = seeds.take_block(runs);
-  return classify_campaign_range(image, 0, runs, seed_base, judge, options);
+  return classify_campaign_range(image, 0, runs, seed_base, judge);
 }
 
 faultsim::CampaignSummary HybridNetwork::classify_campaign_range(
     const tensor::Tensor& image, std::size_t run_begin, std::size_t run_end,
     std::uint64_t seed_base,
     const std::function<faultsim::Outcome(
-        std::size_t, const HybridClassification&)>& judge,
-    BatchOptions options) const {
+        std::size_t, const HybridClassification&)>& judge) const {
   if (image.shape().rank() != 3) {
     throw std::invalid_argument(
         "HybridNetwork::classify_campaign_range: expected CHW");
@@ -397,7 +372,7 @@ faultsim::CampaignSummary HybridNetwork::classify_campaign_range(
   const std::size_t count = run_end - run_begin;
   const std::vector<const tensor::Tensor*> ptrs(count, &image);
   const std::vector<HybridClassification> results = classify_indexed(
-      count, ptrs.data(), seed_base + run_begin, nullptr, options);
+      count, ptrs.data(), seed_base + run_begin, nullptr);
   faultsim::CampaignSummary summary;
   for (std::size_t i = 0; i < count; ++i) {
     summary.add(judge(run_begin + i, results[i]));
@@ -407,13 +382,13 @@ faultsim::CampaignSummary HybridNetwork::classify_campaign_range(
 
 std::vector<HybridClassification> HybridNetwork::classify_seeded(
     std::size_t count, const tensor::Tensor* const* images,
-    const std::uint64_t* seeds, BatchOptions options) const {
+    const std::uint64_t* seeds) const {
   if (count != 0 && (images == nullptr || seeds == nullptr)) {
     throw std::invalid_argument(
         "HybridNetwork::classify_seeded: null images/seeds");
   }
   validate_chw(count, images, "classify_seeded");
-  return classify_indexed(count, images, /*seed_base=*/0, seeds, options);
+  return classify_indexed(count, images, /*seed_base=*/0, seeds);
 }
 
 HybridNetwork::CostSplit HybridNetwork::cost_split(

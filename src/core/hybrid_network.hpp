@@ -61,29 +61,6 @@ struct HybridClassification {
   }
 };
 
-/// How classify_batch executes the non-reliable CNN remainder.
-enum class RemainderMode {
-  /// Whole per-image pipeline (reliable DCNN + qualifier + CNN remainder)
-  /// fans across the pool as one re-entrant const inference per image.
-  kFanned,
-  /// Historical two-phase shape: dependable stages in parallel, CNN
-  /// remainder serially per image afterwards. Kept for the throughput
-  /// benches; results are identical to kFanned.
-  kSerial,
-};
-
-/// Execution knobs for the batched classify entry points. A struct so
-/// future knobs extend it without churning every signature again.
-struct BatchOptions {
-  RemainderMode remainder = RemainderMode::kFanned;
-  /// Report detail of the reliable conv1 kernel. kStatsOnly skips per-op
-  /// ExecutionReport assembly — campaign sweeps that only consume the
-  /// CampaignSummary (outcome counts) pay no report cost; predicted
-  /// class, decision, qualifier verdict and conv1_report.ok are
-  /// unaffected, while the conv1_report counters stay at their defaults.
-  reliable::ReportMode report = reliable::ReportMode::kFull;
-};
-
 /// Memory model of the intermittent checkpoint slot
 /// (HybridNetwork::classify_intermittent). The committed activation sits
 /// in non-volatile memory across power cycles, so it accumulates upsets
@@ -119,6 +96,10 @@ class HybridNetwork {
   // the serving front-end (serve::InferenceService) is built on exactly
   // this property. seed_stream() hands out a stream positioned at the
   // configured base for callers that want the historical behaviour.
+  //
+  // The batched and campaign entry points share one core: the complete
+  // per-image pipeline fanned across the pool, with the full conv1
+  // ExecutionReport in every result.
 
   /// Classifies one [3, H, W] image through the hybrid dataflow,
   /// consuming one seed from `seeds`.
@@ -127,24 +108,23 @@ class HybridNetwork {
 
   /// Batched classification: the reliable conv1 kernel is built once for
   /// the whole batch and the complete per-image pipeline — reliable DCNN,
-  /// qualifier AND the non-reliable CNN remainder, which is a const
-  /// re-entrant inference since the layer-cache refactor — fans out
-  /// across the global runtime::ThreadPool, each image drawing scratch
-  /// from the executing slot's Workspace arena. Image i consumes seed
-  /// `seeds.peek() + i` — exactly the stream a loop of classify() calls
-  /// would consume — so the returned results are bit-identical to looped
-  /// single-image classify at every thread count. An empty batch does
-  /// not advance the stream.
+  /// qualifier AND the non-reliable CNN remainder (a const re-entrant
+  /// inference) — fans out across the global runtime::ThreadPool, each
+  /// image drawing scratch from the executing slot's Workspace arena.
+  /// Image i consumes seed `seeds.peek() + i` — exactly the stream a
+  /// loop of classify() calls would consume — so the returned results
+  /// are bit-identical to looped single-image classify at every thread
+  /// count. An empty batch does not advance the stream.
   [[nodiscard]] std::vector<HybridClassification> classify_batch(
-      const std::vector<tensor::Tensor>& images, FaultSeedStream& seeds,
-      BatchOptions options = {}) const;
+      const std::vector<tensor::Tensor>& images,
+      FaultSeedStream& seeds) const;
 
   /// Campaign form of classify_batch: `runs` classifications of the same
   /// image with consecutive seeds from `seeds`, without copying the
   /// image.
   [[nodiscard]] std::vector<HybridClassification> classify_repeat(
-      const tensor::Tensor& image, std::size_t runs, FaultSeedStream& seeds,
-      BatchOptions options = {}) const;
+      const tensor::Tensor& image, std::size_t runs,
+      FaultSeedStream& seeds) const;
 
   /// Fault-injection campaign over the full hybrid classify path:
   /// classify_repeat(image, runs, seeds), then `judge(run, result)` maps
@@ -155,7 +135,7 @@ class HybridNetwork {
       const tensor::Tensor& image, std::size_t runs,
       const std::function<faultsim::Outcome(
           std::size_t, const HybridClassification&)>& judge,
-      FaultSeedStream& seeds, BatchOptions options = {}) const;
+      FaultSeedStream& seeds) const;
 
   /// Shard/resume form of classify_campaign over an explicit run range:
   /// run i in [run_begin, run_end) classifies with fault seed
@@ -171,8 +151,7 @@ class HybridNetwork {
       const tensor::Tensor& image, std::size_t run_begin,
       std::size_t run_end, std::uint64_t seed_base,
       const std::function<faultsim::Outcome(
-          std::size_t, const HybridClassification&)>& judge,
-      BatchOptions options = {}) const;
+          std::size_t, const HybridClassification&)>& judge) const;
 
   /// Explicit-seed batch: image i uses seeds[i], with no consecutiveness
   /// requirement. This is the serving entry point — a dispatcher
@@ -182,7 +161,7 @@ class HybridNetwork {
   /// `count` entries.
   [[nodiscard]] std::vector<HybridClassification> classify_seeded(
       std::size_t count, const tensor::Tensor* const* images,
-      const std::uint64_t* seeds, BatchOptions options = {}) const;
+      const std::uint64_t* seeds) const;
 
   /// Classifies with an externally supplied reliable conv1 kernel in
   /// place of the network's own — the memory-fault campaign entry point:
@@ -193,7 +172,7 @@ class HybridNetwork {
   /// concurrently with per-run kernels.
   [[nodiscard]] HybridClassification classify_with_conv1(
       const reliable::ReliableConv2d& rconv, const tensor::Tensor& image,
-      std::uint64_t fault_seed, BatchOptions options = {}) const;
+      std::uint64_t fault_seed) const;
 
   /// Outcome of one intermittent (checkpointed) classification.
   struct IntermittentResult {
@@ -222,7 +201,7 @@ class HybridNetwork {
   /// and/or ECC-protects the slot (see CheckpointMemoryModel).
   [[nodiscard]] IntermittentResult classify_intermittent(
       const tensor::Tensor& image, FaultSeedStream& seeds,
-      const faultsim::PowerTrace& trace, BatchOptions options = {},
+      const faultsim::PowerTrace& trace,
       CheckpointMemoryModel memory = {}) const;
 
   /// A fresh stream positioned at the configured `fault_seed` base — the
@@ -273,8 +252,7 @@ class HybridNetwork {
   /// pool workers; scratch comes from the calling slot's arena.
   [[nodiscard]] DependableStage dependable_stage(
       const reliable::ReliableConv2d& rconv, const tensor::Tensor& image,
-      std::uint64_t fault_seed,
-      reliable::ReportMode mode = reliable::ReportMode::kFull) const;
+      std::uint64_t fault_seed) const;
 
   /// Non-reliable CNN remainder (const re-entrant inference over the
   /// shared model, calling-thread scratch from `ws`) + decision
@@ -294,8 +272,7 @@ class HybridNetwork {
   /// uses `seeds ? seeds[i] : seed_base + i`.
   [[nodiscard]] std::vector<HybridClassification> classify_indexed(
       std::size_t count, const tensor::Tensor* const* images,
-      std::uint64_t seed_base, const std::uint64_t* seeds,
-      BatchOptions options) const;
+      std::uint64_t seed_base, const std::uint64_t* seeds) const;
 
   std::unique_ptr<nn::Sequential> cnn_;
   std::size_t conv1_index_;

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace hybridcnn::core {
 
@@ -62,6 +63,31 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+[[noreturn]] void bad_value(const std::string& key) {
+  throw std::invalid_argument("hybrid spec: bad value for " + key);
+}
+
+/// Reads exactly one number from `value` into `out`. The whole value
+/// must parse, so trailing characters ("5abc", "2 7") are rejected, and
+/// a leading '-' on an unsigned field is an error instead of a modular
+/// wrap-around.
+template <typename T>
+void parse_number(const std::string& key, const std::string& value, T& out) {
+  if (std::is_unsigned_v<T> && value.starts_with('-')) bad_value(key);
+  std::istringstream vs(value);
+  if (!(vs >> out)) bad_value(key);
+  vs >> std::ws;
+  if (!vs.eof()) bad_value(key);
+}
+
+/// parse_number for a probability: additionally rejects values outside
+/// [0, 1] (NaN included).
+void parse_probability(const std::string& key, const std::string& value,
+                       double& out) {
+  parse_number(key, value, out);
+  if (!(out >= 0.0 && out <= 1.0)) bad_value(key);
+}
+
 }  // namespace
 
 std::string to_spec(const HybridConfig& config) {
@@ -115,23 +141,7 @@ HybridConfig parse_spec(const std::string& text) {
     }
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
-    std::istringstream vs(value);
-
-    const auto parse_u32 = [&](std::uint32_t& out) {
-      if (!(vs >> out)) {
-        throw std::invalid_argument("hybrid spec: bad value for " + key);
-      }
-    };
-    const auto parse_sz = [&](std::size_t& out) {
-      if (!(vs >> out)) {
-        throw std::invalid_argument("hybrid spec: bad value for " + key);
-      }
-    };
-    const auto parse_d = [&](double& out) {
-      if (!(vs >> out)) {
-        throw std::invalid_argument("hybrid spec: bad value for " + key);
-      }
-    };
+    const auto number = [&](auto& out) { parse_number(key, value, out); };
 
     if (key == "scheme") {
       if (value != "simplex" && value != "dmr" && value != "tmr") {
@@ -140,51 +150,45 @@ HybridConfig parse_spec(const std::string& text) {
       }
       config.scheme = value;
     } else if (key == "bucket_factor") {
-      parse_u32(config.policy.bucket_factor);
+      number(config.policy.bucket_factor);
     } else if (key == "bucket_ceiling") {
-      parse_u32(config.policy.bucket_ceiling);
+      number(config.policy.bucket_ceiling);
     } else if (key == "max_retries_per_op") {
-      parse_u32(config.policy.max_retries_per_op);
+      number(config.policy.max_retries_per_op);
     } else if (key == "critical_classes") {
       config.critical_classes.clear();
+      std::istringstream vs(value);
       int c = 0;
       while (vs >> c) config.critical_classes.insert(c);
+      if (!vs.eof()) bad_value(key);  // a token that is not an int
     } else if (key == "dependable_filter") {
-      parse_sz(config.dependable_filter);
+      number(config.dependable_filter);
     } else if (key == "qualifier_sides") {
-      parse_sz(config.qualifier.sides);
+      number(config.qualifier.sides);
     } else if (key == "qualifier_samples") {
-      parse_sz(config.qualifier.samples);
+      number(config.qualifier.samples);
     } else if (key == "qualifier_word_length") {
-      parse_sz(config.qualifier.match.sax.word_length);
+      number(config.qualifier.match.sax.word_length);
     } else if (key == "qualifier_alphabet") {
-      parse_sz(config.qualifier.match.sax.alphabet);
+      number(config.qualifier.match.sax.alphabet);
     } else if (key == "qualifier_mindist_threshold") {
-      parse_d(config.qualifier.match.mindist_threshold);
+      number(config.qualifier.match.mindist_threshold);
     } else if (key == "qualifier_corner_tolerance") {
-      if (!(vs >> config.qualifier.match.corner_tolerance)) {
-        throw std::invalid_argument("hybrid spec: bad value for " + key);
-      }
+      number(config.qualifier.match.corner_tolerance);
     } else if (key == "qualifier_source") {
       config.qualifier.source = parse_source(value);
     } else if (key == "fault_kind") {
       config.fault_config.kind = parse_fault_kind(value);
     } else if (key == "fault_probability") {
-      parse_d(config.fault_config.probability);
+      parse_probability(key, value, config.fault_config.probability);
     } else if (key == "fault_bit") {
-      if (!(vs >> config.fault_config.bit)) {
-        throw std::invalid_argument("hybrid spec: bad value for " + key);
-      }
+      number(config.fault_config.bit);
     } else if (key == "fault_num_pes") {
-      if (!(vs >> config.fault_config.num_pes)) {
-        throw std::invalid_argument("hybrid spec: bad value for " + key);
-      }
+      number(config.fault_config.num_pes);
     } else if (key == "fault_burst_continue") {
-      parse_d(config.fault_config.burst_continue);
+      parse_probability(key, value, config.fault_config.burst_continue);
     } else if (key == "fault_seed") {
-      if (!(vs >> config.fault_seed)) {
-        throw std::invalid_argument("hybrid spec: bad value for " + key);
-      }
+      number(config.fault_seed);
     } else {
       throw std::invalid_argument("hybrid spec: unknown key '" + key + "'");
     }

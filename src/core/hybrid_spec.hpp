@@ -22,7 +22,9 @@ std::string to_spec(const HybridConfig& config);
 /// Parses a spec document produced by to_spec() (or written by hand).
 /// Unknown keys throw std::invalid_argument (a spec is a safety artefact:
 /// silently ignoring a typo like "buckte_factor" would weaken the very
-/// policy it encodes). Missing keys keep their defaults.
+/// policy it encodes). So do malformed values: a number with trailing
+/// characters, a negative unsigned field, or a fault_probability /
+/// fault_burst_continue outside [0, 1]. Missing keys keep their defaults.
 HybridConfig parse_spec(const std::string& text);
 
 /// Convenience: writes the spec to a file / reads it back.

@@ -96,7 +96,6 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
   }
   const std::size_t count = run_end - run_begin;
   const reliable::ReliabilityPolicy& policy = net_->config().policy;
-  const BatchOptions opts{RemainderMode::kFanned, config_.report};
 
   // Golden reference. With no compute faults armed the fault-free hybrid
   // path is seed-independent, so one golden serves every run (any seed
@@ -111,7 +110,7 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
   HybridClassification shared_golden;
   if (!compute_faults_armed) {
     shared_golden =
-        net_->classify_with_conv1(pristine_rconv, image, seed_base, opts);
+        net_->classify_with_conv1(pristine_rconv, image, seed_base);
   }
 
   std::vector<RunRecord> records(count);
@@ -174,10 +173,10 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
     const reliable::ReliableConv2d rconv(std::move(weights), bias_, spec_,
                                          policy);
     const HybridClassification result =
-        net_->classify_with_conv1(rconv, *input, seed, opts);
+        net_->classify_with_conv1(rconv, *input, seed);
     const HybridClassification golden =
         compute_faults_armed
-            ? net_->classify_with_conv1(pristine_rconv, image, seed, opts)
+            ? net_->classify_with_conv1(pristine_rconv, image, seed)
             : shared_golden;
 
     if (same_result(result, golden)) {

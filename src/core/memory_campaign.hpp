@@ -8,7 +8,8 @@
 // cadence, classifies through the unmodified hybrid dataflow
 // (HybridNetwork::classify_with_conv1) and buckets the observable outcome
 // — intact / ECC-corrected / ECC-uncorrectable (fail-stop) / caught by
-// the hybrid evidence chain / silent corruption.
+// the hybrid evidence chain / silent corruption. Outcomes depend only on
+// the decision, prediction and qualifier verdict.
 //
 // Determinism contract: run i derives ALL stochastic state (memory-fault
 // Rng, compute-fault injector seed) from `seeds.peek() + i` alone, runs
@@ -43,10 +44,6 @@ struct MemoryCampaignConfig {
   /// interval models rarer scrubbing (more accumulated upsets per check)
   /// while keeping every run a pure function of its index. Must be >= 1.
   std::size_t scrub_interval = 1;
-
-  /// Report detail of the reliable conv1 kernel (kStatsOnly skips per-op
-  /// report assembly; outcomes are unaffected).
-  reliable::ReportMode report = reliable::ReportMode::kStatsOnly;
 };
 
 /// Runs memory-fault campaigns against one HybridNetwork. Construction

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "reliable/checkpoint.hpp"
-#include "reliable/kernel_campaign.hpp"
 #include "reliable/static_dispatch.hpp"
 
 namespace hybridcnn::reliable {
@@ -103,12 +102,10 @@ std::uint64_t ReliableConv2d::mac_count(const tensor::Shape& in) const {
 }
 
 ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
-                                       Executor& exec,
-                                       ReportMode mode) const {
+                                       Executor& exec) const {
   const Scheme scheme = exec.scheme_kind();
   if (scheme == Scheme::kCustom) {
-    // Unknown executor subclass: only the virtual interface is available
-    // (and only the full-report oracle path exists for it).
+    // Unknown executor subclass: only the virtual interface is available.
     return forward_generic(input, exec);
   }
 
@@ -133,22 +130,15 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
     detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
                              result.output.data().data());
     const std::uint64_t ops = 2 * plan.macs();  // mul + accumulate per MAC
-    if (mode == ReportMode::kFull) {
-      result.report.logical_ops = ops;
-      result.report.commits = ops;
-    }
+    result.report.logical_ops = ops;
+    result.report.commits = ops;
     exec.credit_fault_free_ops(ops);
     return result;
   }
 
   detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
-    if (mode == ReportMode::kFull) {
-      detail::conv_forward_qualified<true>(plan, in, wgt, b, policy_,
-                                           concrete, result);
-    } else {
-      detail::conv_forward_qualified<false>(plan, in, wgt, b, policy_,
-                                            concrete, result);
-    }
+    detail::conv_forward_qualified(plan, in, wgt, b, policy_, concrete,
+                                   result);
   });
   return result;
 }
@@ -274,16 +264,6 @@ ReliableResult ReliableConv2d::forward_generic(const tensor::Tensor& input,
   report.bucket_peak = bucket.peak();
   report.bucket_exhausted = bucket.exhausted();
   return result;
-}
-
-faultsim::CampaignSummary ReliableConv2d::forward_campaign(
-    const tensor::Tensor& input, std::size_t runs,
-    const std::function<std::unique_ptr<Executor>(std::size_t)>& make_exec,
-    const std::function<faultsim::Outcome(std::size_t, const ReliableResult&,
-                                          Executor&)>& classify,
-    ReportMode mode, runtime::ComputeContext& ctx) const {
-  return detail::kernel_campaign(*this, input, runs, make_exec, classify,
-                                 mode, ctx);
 }
 
 tensor::Tensor ReliableConv2d::reference_forward(

@@ -16,15 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 
-#include "faultsim/campaign.hpp"
 #include "reliable/executor.hpp"
 #include "reliable/leaky_bucket.hpp"
 #include "reliable/report.hpp"
-#include "runtime/compute_context.hpp"
 #include "tensor/tensor.hpp"
 
 namespace hybridcnn::reliable {
@@ -81,15 +78,8 @@ class ReliableConv2d {
   /// state are bit-identical across the paths — the contract
   /// tests/test_static_dispatch.cpp and tests/test_simd_dispatch.cpp
   /// enforce.
-  ///
-  /// `mode` selects the report detail (see reliable::ReportMode):
-  /// kStatsOnly skips the per-op report counters for campaign sweeps
-  /// that only consume the summary; output bits, report.ok and all
-  /// executor/injector statistics are unaffected. Custom executors
-  /// always produce a full report.
-  [[nodiscard]] ReliableResult forward(
-      const tensor::Tensor& input, Executor& exec,
-      ReportMode mode = ReportMode::kFull) const;
+  [[nodiscard]] ReliableResult forward(const tensor::Tensor& input,
+                                       Executor& exec) const;
 
   /// The retained virtual-dispatch qualified path: every mul/add goes
   /// through Executor's virtual interface, per-op retry lambda and
@@ -103,24 +93,6 @@ class ReliableConv2d {
   /// scalar arithmetic, same loop order so results are bit-comparable).
   [[nodiscard]] tensor::Tensor reference_forward(
       const tensor::Tensor& input) const;
-
-  /// Fault-injection campaign over this layer: `runs` independent
-  /// qualified executions split across the thread pool. `make_exec(run)`
-  /// builds the run-local executor (seed it from `run` — it may be called
-  /// from any worker, in any order); `classify(run, result, exec)` maps
-  /// the finished run to a dependability outcome. Outcomes are reduced in
-  /// run order, so the summary is bit-identical at every thread count.
-  /// `mode` is forwarded to every per-run forward(); kStatsOnly sweeps
-  /// produce the identical summary without per-op report assembly.
-  [[nodiscard]] faultsim::CampaignSummary forward_campaign(
-      const tensor::Tensor& input, std::size_t runs,
-      const std::function<std::unique_ptr<Executor>(std::size_t)>& make_exec,
-      const std::function<faultsim::Outcome(std::size_t,
-                                            const ReliableResult&, Executor&)>&
-          classify,
-      ReportMode mode = ReportMode::kFull,
-      runtime::ComputeContext& ctx =
-          runtime::ComputeContext::global()) const;
 
   /// Output shape for a given input shape; validates channel count.
   [[nodiscard]] tensor::Shape output_shape(const tensor::Shape& in) const;
@@ -159,7 +131,8 @@ class ReliableConv2d {
       const;
 
   /// Pre-builds the cached pack so batch/campaign paths pay the repack
-  /// once up front instead of contending on first concurrent use.
+  /// once up front instead of contending on first concurrent use. Call
+  /// it before fanning forward() out with faultsim::run_campaign.
   void prepare_fast_path() const { (void)channel_pack(); }
 
  private:

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "reliable/checkpoint.hpp"
-#include "reliable/kernel_campaign.hpp"
 #include "reliable/static_dispatch.hpp"
 
 namespace hybridcnn::reliable {
@@ -60,8 +59,7 @@ std::shared_ptr<const detail::LinearWeightPack> ReliableLinear::neuron_pack()
 }
 
 ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
-                                       Executor& exec,
-                                       ReportMode mode) const {
+                                       Executor& exec) const {
   const Scheme scheme = exec.scheme_kind();
   if (scheme == Scheme::kCustom) return forward_generic(input, exec);
 
@@ -82,22 +80,15 @@ ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
     detail::linear_raw_compute(out_n, in_n, pack.get(), in, wgt, b,
                                result.output.data().data());
     const std::uint64_t ops = 2 * static_cast<std::uint64_t>(out_n) * in_n;
-    if (mode == ReportMode::kFull) {
-      result.report.logical_ops = ops;
-      result.report.commits = ops;
-    }
+    result.report.logical_ops = ops;
+    result.report.commits = ops;
     exec.credit_fault_free_ops(ops);
     return result;
   }
 
   detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
-    if (mode == ReportMode::kFull) {
-      detail::linear_forward_qualified<true>(out_n, in_n, in, wgt, b,
-                                             policy_, concrete, result);
-    } else {
-      detail::linear_forward_qualified<false>(out_n, in_n, in, wgt, b,
-                                              policy_, concrete, result);
-    }
+    detail::linear_forward_qualified(out_n, in_n, in, wgt, b, policy_,
+                                     concrete, result);
   });
   return result;
 }
@@ -174,16 +165,6 @@ ReliableResult ReliableLinear::forward_generic(const tensor::Tensor& input,
   report.bucket_peak = bucket.peak();
   report.bucket_exhausted = bucket.exhausted();
   return result;
-}
-
-faultsim::CampaignSummary ReliableLinear::forward_campaign(
-    const tensor::Tensor& input, std::size_t runs,
-    const std::function<std::unique_ptr<Executor>(std::size_t)>& make_exec,
-    const std::function<faultsim::Outcome(std::size_t, const ReliableResult&,
-                                          Executor&)>& classify,
-    ReportMode mode, runtime::ComputeContext& ctx) const {
-  return detail::kernel_campaign(*this, input, runs, make_exec, classify,
-                                 mode, ctx);
 }
 
 tensor::Tensor ReliableLinear::reference_forward(

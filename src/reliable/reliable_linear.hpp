@@ -35,11 +35,9 @@ class ReliableLinear {
   /// Input must be rank-1 of length `in`. Same contract as
   /// ReliableConv2d::forward, including the once-per-call scheme dispatch
   /// onto devirtualized kernels, the guaranteed-fault-free fast path
-  /// (vectorized across output neurons where the target allows) and the
-  /// ReportMode::kStatsOnly variant.
-  [[nodiscard]] ReliableResult forward(
-      const tensor::Tensor& input, Executor& exec,
-      ReportMode mode = ReportMode::kFull) const;
+  /// (vectorized across output neurons where the target allows).
+  [[nodiscard]] ReliableResult forward(const tensor::Tensor& input,
+                                       Executor& exec) const;
 
   /// Retained virtual-dispatch qualified path (oracle / custom-scheme
   /// fallback); see ReliableConv2d::forward_generic.
@@ -49,18 +47,6 @@ class ReliableLinear {
   /// Golden reference with identical operation order.
   [[nodiscard]] tensor::Tensor reference_forward(
       const tensor::Tensor& input) const;
-
-  /// Parallel fault-injection campaign; same contract as
-  /// ReliableConv2d::forward_campaign.
-  [[nodiscard]] faultsim::CampaignSummary forward_campaign(
-      const tensor::Tensor& input, std::size_t runs,
-      const std::function<std::unique_ptr<Executor>(std::size_t)>& make_exec,
-      const std::function<faultsim::Outcome(std::size_t,
-                                            const ReliableResult&, Executor&)>&
-          classify,
-      ReportMode mode = ReportMode::kFull,
-      runtime::ComputeContext& ctx =
-          runtime::ComputeContext::global()) const;
 
   [[nodiscard]] const tensor::Tensor& weights() const noexcept {
     return weights_;

@@ -12,20 +12,6 @@
 
 namespace hybridcnn::reliable {
 
-/// How much of the ExecutionReport a reliable kernel assembles.
-///
-/// kFull is the default: every counter below is maintained per op.
-/// kStatsOnly elides the per-op counter updates inside the qualified
-/// inner loops — for campaign sweeps that only consume the
-/// CampaignSummary (and the executor/injector statistics, which are
-/// unaffected), the report bookkeeping is pure overhead. Under
-/// kStatsOnly only `ok`, `stage` and `scheme` are meaningful; every
-/// numeric counter keeps its default. Output bits, ExecutorStats,
-/// InjectorStats and the abort decision itself are bit-identical to
-/// kFull. Custom (out-of-library) executors always take the generic
-/// full-report path.
-enum class ReportMode : std::uint8_t { kFull, kStatsOnly };
-
 /// Observable facts about one reliable kernel execution.
 struct ExecutionReport {
   bool ok = true;              ///< kernel completed; result is qualified

@@ -29,7 +29,7 @@
 //       - pixel lanes (conv_simd_rows): kFloatLanes interior output
 //         pixels of one row per vector, weights re-broadcast per tap;
 //         border pixels and narrow interiors stay scalar.
-//       - channel lanes (conv_channel_blocks): kFloatLanes output
+//       - channel lanes (conv_channel_pixels): kFloatLanes output
 //         channels per vector over a once-per-weight-generation
 //         repacked [ky][kx][c][o] WeightPack, so every tap is one
 //         contiguous weight vector load times a scalar input broadcast.
@@ -49,18 +49,12 @@
 //     HYBRIDCNN_RELIABLE_SIMD=0 (or set_reliable_simd_enabled(false))
 //     forces the scalar fast path for debugging and A/B benching.
 //
-// The qualified kernels are additionally templated on a WithReport flag:
-// ReportMode::kStatsOnly instantiations skip every per-op
-// ExecutionReport counter update (campaign sweeps that only consume the
-// CampaignSummary pay no report-assembly cost) while preserving output
-// bits, abort behaviour, report.ok and all executor/injector statistics.
-//
 // Bit-identity contract: for every (input, executor, injector-seed), a
 // specialized kernel must produce the same output bits, the same
 // ExecutionReport fields, the same ExecutorStats/InjectorStats, and the
 // same injector cursor as the generic path. tests/test_static_dispatch.cpp
 // and tests/test_simd_dispatch.cpp enforce this across schemes, fault
-// kinds, geometries and report modes.
+// kinds and geometries.
 #pragma once
 
 #include <algorithm>
@@ -187,12 +181,7 @@ void with_concrete_executor(Scheme scheme, Executor& exec, Fn&& fn) {
 /// failure drops to the cold slow path, which replicates the generic
 /// retry loop exactly: rollback, leaky-bucket escalation, per-op retry
 /// cap, re-execution.
-///
-/// WithReport=false (ReportMode::kStatsOnly) compiles out every report
-/// counter update; control flow, checkpoint traffic and executor calls
-/// are untouched, so outputs and executor/injector statistics stay
-/// bit-identical to the full-report instantiation.
-template <typename Exec, bool WithReport = true>
+template <typename Exec>
 struct QualifiedOpRunner {
   Exec& exec;
   ExecutionReport& report;
@@ -202,12 +191,12 @@ struct QualifiedOpRunner {
   template <typename Op>
   HYBRIDCNN_RELIABLE_ALWAYS_INLINE std::optional<float> run(
       Op op, ScalarCheckpoint& cp) {
-    if constexpr (WithReport) ++report.logical_ops;
+    ++report.logical_ops;
     const Qualified<float> q = op(exec);
     if (q.ok) [[likely]] {
       bucket.record_success();
       cp.commit(q.value);
-      if constexpr (WithReport) ++report.commits;
+      ++report.commits;
       return q.value;
     }
     return run_slow(op, cp);
@@ -220,26 +209,22 @@ struct QualifiedOpRunner {
   HYBRIDCNN_RELIABLE_NOINLINE std::optional<float> run_slow(
       Op op, ScalarCheckpoint& cp) {
     for (std::uint32_t attempt = 0;; ++attempt) {
-      if constexpr (WithReport) ++report.detected_errors;
+      ++report.detected_errors;
       (void)cp.rollback();  // discard the unqualified value
-      if constexpr (WithReport) ++report.rollbacks;
+      ++report.rollbacks;
       if (bucket.record_error()) {
         return std::nullopt;  // persistent: ceiling reached
       }
       if (attempt + 1 >= max_retries_per_op) {
         return std::nullopt;  // persistent: retry cap
       }
-      if constexpr (WithReport) {
-        ++report.retries;  // rollback distance: exactly one operation
-      }
+      ++report.retries;  // rollback distance: exactly one operation
       const Qualified<float> q = op(exec);
       if (q.ok) {
         bucket.record_success();
-        if constexpr (WithReport) {
-          ++report.corrected_errors;  // recovered on a retry
-        }
+        ++report.corrected_errors;  // recovered on a retry
         cp.commit(q.value);
-        if constexpr (WithReport) ++report.commits;
+        ++report.commits;
         return q.value;
       }
     }
@@ -377,29 +362,23 @@ inline WeightPack build_weight_pack(std::size_t oc, std::size_t in_c,
 /// Qualified convolution inner kernel over a concrete executor type.
 /// Loop nest order (o, oy, ox, c, ky, kx), committed outputs, op_index
 /// accounting and abort semantics are exactly those of the generic path.
-/// WithReport=false elides all report counters (ok is still latched on
-/// abort); see QualifiedOpRunner.
-template <bool WithReport = true, typename Exec>
+template <typename Exec>
 void conv_forward_qualified(const ConvPlan& plan, const float* input,
                             const float* weights, const float* bias,
                             const ReliabilityPolicy& policy, Exec& exec,
                             ReliableResult& result) {
   ExecutionReport& report = result.report;
   LeakyBucket bucket(policy.bucket_factor, policy.bucket_ceiling);
-  QualifiedOpRunner<Exec, WithReport> runner{exec, report, bucket,
-                                             policy.max_retries_per_op};
+  QualifiedOpRunner<Exec> runner{exec, report, bucket,
+                                 policy.max_retries_per_op};
   float* out = result.output.data().data();
 
   std::int64_t op_index = 0;
   const auto abort_with = [&](std::int64_t failed_at) {
     report.ok = false;
-    if constexpr (WithReport) {
-      report.failed_op_index = failed_at;
-      report.bucket_peak = bucket.peak();
-      report.bucket_exhausted = bucket.exhausted();
-    } else {
-      (void)failed_at;
-    }
+    report.failed_op_index = failed_at;
+    report.bucket_peak = bucket.peak();
+    report.bucket_exhausted = bucket.exhausted();
   };
 
   for (std::size_t o = 0; o < plan.out_c; ++o) {
@@ -463,10 +442,8 @@ void conv_forward_qualified(const ConvPlan& plan, const float* input,
     }
   }
 
-  if constexpr (WithReport) {
-    report.bucket_peak = bucket.peak();
-    report.bucket_exhausted = bucket.exhausted();
-  }
+  report.bucket_peak = bucket.peak();
+  report.bucket_exhausted = bucket.exhausted();
 }
 
 /// One fault-free output pixel: the scalar reduction every path — scalar
@@ -493,8 +470,7 @@ HYBRIDCNN_RELIABLE_ALWAYS_INLINE float conv_raw_pixel(
 }
 
 /// Every fault-free output pixel of one output channel, scalar form —
-/// the per-channel unit both the serial scalar loop and the pooled
-/// scalar fan-out execute.
+/// the per-channel unit the pooled scalar fan-out executes.
 inline void conv_scalar_channel(const ConvPlan& plan, const float* input,
                                 const float* weights, float b, std::size_t o,
                                 float* out) noexcept {
@@ -504,18 +480,6 @@ inline void conv_scalar_channel(const ConvPlan& plan, const float* input,
     for (std::size_t ox = 0; ox < plan.out_w; ++ox) {
       out_row[ox] = conv_raw_pixel(plan, input, weights, b, o, oy, ox, ry);
     }
-  }
-}
-
-/// Fault-free convolution fast path, scalar form: plain arithmetic in the
-/// exact qualified operation order (mul then accumulate, same loop nest),
-/// no per-op bookkeeping. Callers credit the elided counters in closed
-/// form. Kept callable directly for A/B tests and benches.
-inline void conv_raw_compute_scalar(const ConvPlan& plan, const float* input,
-                                    const float* weights, const float* bias,
-                                    float* out) noexcept {
-  for (std::size_t o = 0; o < plan.out_c; ++o) {
-    conv_scalar_channel(plan, input, weights, bias[o], o, out);
   }
 }
 
@@ -796,24 +760,6 @@ inline void conv_pixel_unit(const ConvPlan& plan, const float* input,
   }
 }
 
-/// Vectorized fault-free convolution, pixel-lane strategy: interior
-/// pixels in lane-width blocks (interleaved across row groups,
-/// overlap-finished at the row tail), border pixels through the scalar
-/// pixel reduction. Bit-identical to conv_raw_compute_scalar by
-/// construction. Serial form, kept callable for A/B tests and benches.
-inline void conv_raw_compute_simd(const ConvPlan& plan, const float* input,
-                                  const float* weights, const float* bias,
-                                  float* out) {
-  const bool stride1 = plan.stride == 1;
-  const auto groups = pixel_row_groups(plan);
-  for (std::size_t o = 0; o < plan.out_c; ++o) {
-    for (const auto& [oy0, run] : groups) {
-      conv_pixel_unit(plan, input, weights, bias[o], o, oy0, run, stride1,
-                      out);
-    }
-  }
-}
-
 /// Channel blocks (of kFloatLanes output channels each) processed
 /// together per output-pixel pass. Like the pixel kernel's row groups:
 /// each block keeps its own accumulator chain, and grouping amortizes
@@ -946,20 +892,6 @@ inline void conv_channel_unit(const ConvPlan& plan, const WeightPack& pack,
   }
 }
 
-/// Vectorized fault-free convolution, channel-lane strategy over a
-/// repacked WeightPack. Serial form, kept callable for A/B tests and
-/// benches; the pooled driver fans the same (group, row) units instead.
-inline void conv_raw_compute_channel(const ConvPlan& plan,
-                                     const WeightPack& pack,
-                                     const float* input, float* out) noexcept {
-  const std::size_t groups = channel_group_count(pack);
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (std::size_t oy = 0; oy < plan.out_h; ++oy) {
-      conv_channel_unit(plan, pack, input, g, oy, out);
-    }
-  }
-}
-
 #endif  // HYBRIDCNN_ISA_SIMD
 
 /// True when the pixel-lane kernel can vectorize this geometry (interior
@@ -1085,7 +1017,7 @@ void conv_unqualified_inline(const ConvPlan& plan, const float* input,
 
 /// Qualified dense inner kernel over a concrete executor type; the linear
 /// analogue of conv_forward_qualified.
-template <bool WithReport = true, typename Exec>
+template <typename Exec>
 void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
                               const float* input, const float* weights,
                               const float* bias,
@@ -1093,21 +1025,17 @@ void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
                               ReliableResult& result) {
   ExecutionReport& report = result.report;
   LeakyBucket bucket(policy.bucket_factor, policy.bucket_ceiling);
-  QualifiedOpRunner<Exec, WithReport> runner{exec, report, bucket,
-                                             policy.max_retries_per_op};
+  QualifiedOpRunner<Exec> runner{exec, report, bucket,
+                                 policy.max_retries_per_op};
   float* out = result.output.data().data();
 
   std::int64_t op_index = 0;
   const auto abort_with = [&](std::size_t o, std::int64_t failed_at,
                               float committed) {
     report.ok = false;
-    if constexpr (WithReport) {
-      report.failed_op_index = failed_at;
-      report.bucket_peak = bucket.peak();
-      report.bucket_exhausted = bucket.exhausted();
-    } else {
-      (void)failed_at;
-    }
+    report.failed_op_index = failed_at;
+    report.bucket_peak = bucket.peak();
+    report.bucket_exhausted = bucket.exhausted();
     out[o] = committed;
   };
 
@@ -1140,14 +1068,13 @@ void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
     out[o] = acc.value();
   }
 
-  if constexpr (WithReport) {
-    report.bucket_peak = bucket.peak();
-    report.bucket_exhausted = bucket.exhausted();
-  }
+  report.bucket_peak = bucket.peak();
+  report.bucket_exhausted = bucket.exhausted();
 }
 
 /// Fault-free dense fast path, scalar form: same operation order as the
-/// qualified kernel. Kept callable directly for A/B tests and benches.
+/// qualified kernel. Runs on targets without vectors and behind the
+/// HYBRIDCNN_RELIABLE_SIMD=0 kill-switch.
 inline void linear_raw_compute_scalar(std::size_t out_n, std::size_t in_n,
                                       const float* input,
                                       const float* weights, const float* bias,
@@ -1162,43 +1089,10 @@ inline void linear_raw_compute_scalar(std::size_t out_n, std::size_t in_n,
   }
 }
 
-#ifdef HYBRIDCNN_ISA_SIMD
-
-/// Vectorized fault-free dense fast path, gather form: lanes are
-/// independent output neurons (lane l accumulates neuron o0+l over the
-/// full input in index order — the dense analogue of the conv pixel
-/// lanes), with one input broadcast and a per-lane weight gather
-/// (weights are [out, in], so one input column is strided by in_n). The
-/// neuron remainder runs scalar. Kept callable for the A/B micro-bench
-/// against the packed form and as the pack-less fallback.
-inline void linear_raw_compute_simd(std::size_t out_n, std::size_t in_n,
-                                    const float* input, const float* weights,
-                                    const float* bias, float* out) noexcept {
-  namespace isa = runtime::isa;
-  std::size_t o = 0;
-  for (; o + isa::kFloatLanes <= out_n; o += isa::kFloatLanes) {
-    isa::VecF acc = isa::loadu(bias + o);
-    const float* w0 = weights + o * in_n;
-    for (std::size_t i = 0; i < in_n; ++i) {
-      const isa::VecF xv = isa::splat(input[i]);
-      isa::VecF wv;
-      for (std::size_t l = 0; l < isa::kFloatLanes; ++l) {
-        wv[l] = w0[l * in_n + i];
-      }
-      acc = acc + xv * wv;
-    }
-    isa::storeu(out + o, acc);
-  }
-  linear_raw_compute_scalar(out_n - o, in_n, input, weights + o * in_n,
-                            bias + o, out + o);
-}
-
-#endif  // HYBRIDCNN_ISA_SIMD
-
 /// Neuron-lane weight layout for the dense fast path: [out, in] weights
 /// transposed into [in][padded_out] rows so each input step issues
 /// contiguous weight-vector loads across adjacent output neurons instead
-/// of the gather kernel's lane-by-lane strided reads. Same lifetime rule
+/// of lane-by-lane strided reads. Same lifetime rule
 /// as the conv WeightPack: cached by the owner, keyed on `generation`.
 struct LinearWeightPack {
   std::vector<float> weights;  ///< [in][padded_out]
@@ -1291,23 +1185,19 @@ inline void linear_raw_compute_packed(const LinearWeightPack& pack,
 
 #endif  // HYBRIDCNN_ISA_SIMD
 
-/// Fault-free dense fast path: the packed neuron-lane kernel when a pack
-/// is supplied, the gather kernel when not (and a full lane block of
-/// neurons exists), scalar otherwise.
+/// Fault-free dense fast path: the packed neuron-lane kernel on SIMD
+/// targets with the kill-switch open, scalar otherwise. Precondition on
+/// SIMD targets: `pack` is non-null (ReliableLinear::neuron_pack()
+/// always builds one there).
 inline void linear_raw_compute(std::size_t out_n, std::size_t in_n,
                                const LinearWeightPack* pack,
                                const float* input, const float* weights,
                                const float* bias, float* out) noexcept {
 #ifdef HYBRIDCNN_ISA_SIMD
   if (reliable_simd_enabled()) {
-    if (pack != nullptr) {
-      linear_raw_compute_packed(*pack, input, out);
-      return;
-    }
-    if (out_n >= runtime::isa::kFloatLanes) {
-      linear_raw_compute_simd(out_n, in_n, input, weights, bias, out);
-      return;
-    }
+    assert(pack != nullptr && "linear_raw_compute: SIMD path needs a pack");
+    linear_raw_compute_packed(*pack, input, out);
+    return;
   }
 #else
   (void)pack;

@@ -136,7 +136,7 @@ void InferenceService::finish_batch(std::vector<Request>& batch) {
     // batch composition the dispatcher happened to collect is invisible
     // in the outputs.
     results = network_->classify_seeded(batch.size(), images.data(),
-                                        seeds.data(), config_.batch);
+                                        seeds.data());
   } catch (...) {
     error = std::current_exception();
   }

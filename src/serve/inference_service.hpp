@@ -65,8 +65,6 @@ struct ServiceConfig {
   /// whatever is pending up to this, so batch size adapts to load.
   std::size_t max_batch = 16;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Execution knobs forwarded to classify_seeded for every batch.
-  core::BatchOptions batch{};
   /// Completed-request latencies kept for the percentile snapshot.
   std::size_t latency_window = 4096;
 };

@@ -63,23 +63,17 @@ CampaignSummary conv_campaign(const char* scheme, double rate,
   input.fill_normal(rng, 0.0f, 1.0f);
   const tensor::Tensor golden = conv.reference_forward(input);
 
-  return conv.forward_campaign(
-      input, runs,
-      [&](std::size_t run) {
-        faultsim::FaultConfig cfg;
-        cfg.kind = faultsim::FaultKind::kTransient;
-        cfg.probability = rate;
-        cfg.bit = -1;
-        return reliable::make_executor(
-            scheme,
-            std::make_shared<faultsim::FaultInjector>(cfg, 500 + run));
-      },
-      [&](std::size_t, const reliable::ReliableResult& result,
-          reliable::Executor& exec) {
-        return faultsim::classify(exec.injector()->stats().faults > 0,
-                                  !result.report.ok,
-                                  result.output == golden);
-      });
+  return faultsim::run_campaign(runs, [&](std::size_t run) {
+    faultsim::FaultConfig cfg;
+    cfg.kind = faultsim::FaultKind::kTransient;
+    cfg.probability = rate;
+    cfg.bit = -1;
+    const auto exec = reliable::make_executor(
+        scheme, std::make_shared<faultsim::FaultInjector>(cfg, 500 + run));
+    const reliable::ReliableResult result = conv.forward(input, *exec);
+    return faultsim::classify(exec->injector()->stats().faults > 0,
+                              !result.report.ok, result.output == golden);
+  });
 }
 
 TEST_F(CampaignParallel, ConvCampaignIsThreadCountInvariant) {

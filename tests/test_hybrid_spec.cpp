@@ -125,6 +125,42 @@ TEST(HybridSpec, RejectsBadNumbers) {
                std::invalid_argument);
 }
 
+TEST(HybridSpec, RejectsTrailingCharacters) {
+  EXPECT_THROW(parse_spec("bucket_factor = 5abc\n"), std::invalid_argument);
+  EXPECT_THROW(parse_spec("dependable_filter = 2 7\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_spec("fault_probability = 1.5x\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_spec("critical_classes = 0 stop\n"),
+               std::invalid_argument);
+  // Whitespace and comments after the value stay legal.
+  EXPECT_EQ(parse_spec("bucket_factor = 5 \t # five\n").policy.bucket_factor,
+            5u);
+}
+
+TEST(HybridSpec, RejectsNegativeUnsignedValues) {
+  EXPECT_THROW(parse_spec("bucket_ceiling = -1\n"), std::invalid_argument);
+  EXPECT_THROW(parse_spec("qualifier_samples = -3\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_spec("fault_seed = -1\n"), std::invalid_argument);
+  // Signed fields still take negatives: -1 is the "random bit" default.
+  EXPECT_EQ(parse_spec("fault_bit = -1\n").fault_config.bit, -1);
+}
+
+TEST(HybridSpec, RejectsProbabilitiesOutsideUnitInterval) {
+  EXPECT_THROW(parse_spec("fault_probability = 1.5\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_spec("fault_probability = -0.1\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_spec("fault_burst_continue = 2\n"),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(
+      parse_spec("fault_probability = 1\n").fault_config.probability, 1.0);
+  EXPECT_DOUBLE_EQ(
+      parse_spec("fault_burst_continue = 0\n").fault_config.burst_continue,
+      0.0);
+}
+
 TEST(HybridSpec, RejectsUnknownEnumValues) {
   EXPECT_THROW(parse_spec("fault_kind = cosmic\n"), std::invalid_argument);
   EXPECT_THROW(parse_spec("qualifier_source = psychic\n"),

@@ -239,7 +239,7 @@ TEST(Intermittent, EccCheckpointSurvivesSlotUpsets) {
   memory.ecc = true;
   FaultSeedStream seeds = net.seed_stream();
   const auto r = net.classify_intermittent(
-      img, seeds, PowerTrace::periodic(1, 4), {}, memory);
+      img, seeds, PowerTrace::periodic(1, 4), memory);
   expect_same_classification(r.classification, ref);
   EXPECT_EQ(r.power_cycles, 4u);
   EXPECT_GT(r.checkpoint_bits_flipped, 0u);
@@ -261,9 +261,9 @@ TEST(Intermittent, CheckpointUpsetsAreDeterministicForSeed) {
     FaultSeedStream sa = net.seed_stream();
     FaultSeedStream sb = net.seed_stream();
     const auto a = net.classify_intermittent(
-        img, sa, PowerTrace::periodic(1, 4), {}, memory);
+        img, sa, PowerTrace::periodic(1, 4), memory);
     const auto b = net.classify_intermittent(
-        img, sb, PowerTrace::periodic(1, 4), {}, memory);
+        img, sb, PowerTrace::periodic(1, 4), memory);
     expect_same_classification(a.classification, b.classification);
     EXPECT_EQ(a.checkpoint_bits_flipped, b.checkpoint_bits_flipped) << ecc;
     EXPECT_EQ(a.checkpoint_corrected, b.checkpoint_corrected) << ecc;
@@ -280,7 +280,7 @@ TEST(Intermittent, UnprotectedCheckpointTakesUpsetsUncorrected) {
   memory.ecc = false;
   FaultSeedStream seeds = net.seed_stream();
   const auto r = net.classify_intermittent(
-      img, seeds, PowerTrace::periodic(1, 4), {}, memory);
+      img, seeds, PowerTrace::periodic(1, 4), memory);
   EXPECT_GT(r.checkpoint_bits_flipped, 0u);
   EXPECT_EQ(r.checkpoint_corrected, 0u)
       << "without ECC nothing scrubs the slot";
@@ -297,8 +297,7 @@ TEST(Intermittent, DefaultMemoryModelLeavesTheSlotPristine) {
 
   FaultSeedStream seeds = net.seed_stream();
   const auto r = net.classify_intermittent(
-      img, seeds, PowerTrace::periodic(1, 4), {},
-      core::CheckpointMemoryModel{});
+      img, seeds, PowerTrace::periodic(1, 4), core::CheckpointMemoryModel{});
   expect_same_classification(r.classification, ref);
   EXPECT_EQ(r.checkpoint_bits_flipped, 0u);
   EXPECT_EQ(r.checkpoint_corrected, 0u);

@@ -320,8 +320,13 @@ TEST_P(SimdDispatchThreads, FaultFreeCampaignMatchesGeneric) {
     return hybridcnn::faultsim::classify(false, !result.report.ok,
                                          result.output == golden);
   };
+  conv.prepare_fast_path();
   const CampaignSummary fast =
-      conv.forward_campaign(input, kRuns, make_exec, classify);
+      hybridcnn::faultsim::run_campaign(kRuns, [&](std::size_t run) {
+        const auto exec = make_exec(run);
+        const ReliableResult result = conv.forward(input, *exec);
+        return classify(run, result, *exec);
+      });
   const CampaignSummary oracle =
       hybridcnn::faultsim::run_campaign(kRuns, [&](std::size_t run) {
         const auto exec = make_exec(run);

@@ -36,7 +36,6 @@ using hybridcnn::reliable::ReliabilityPolicy;
 using hybridcnn::reliable::ReliableConv2d;
 using hybridcnn::reliable::ReliableLinear;
 using hybridcnn::reliable::ReliableResult;
-using hybridcnn::reliable::ReportMode;
 using hybridcnn::runtime::ComputeContext;
 using hybridcnn::tensor::Shape;
 using hybridcnn::tensor::Tensor;
@@ -419,121 +418,12 @@ CampaignSummary dispatch_campaign(const ReliableConv2d& conv,
                                          !result.report.ok,
                                          result.output == golden);
   };
-  if (!generic) {
-    return conv.forward_campaign(input, runs, make_exec, classify);
-  }
   return hybridcnn::faultsim::run_campaign(runs, [&](std::size_t run) {
     const auto exec = make_exec(run);
-    const ReliableResult result = conv.forward_generic(input, *exec);
+    const ReliableResult result = generic ? conv.forward_generic(input, *exec)
+                                          : conv.forward(input, *exec);
     return classify(run, result, *exec);
   });
-}
-
-// -------------------------------------------- report-free statistics mode
-
-void expect_stats_only_report(const ExecutionReport& lean,
-                              const ExecutionReport& full) {
-  // kStatsOnly contract: ok/stage/scheme carry the verdict, every
-  // numeric counter stays at its default.
-  EXPECT_EQ(lean.ok, full.ok);
-  EXPECT_EQ(lean.stage, full.stage);
-  EXPECT_EQ(lean.scheme, full.scheme);
-  EXPECT_EQ(lean.logical_ops, 0u);
-  EXPECT_EQ(lean.detected_errors, 0u);
-  EXPECT_EQ(lean.retries, 0u);
-  EXPECT_EQ(lean.corrected_errors, 0u);
-  EXPECT_EQ(lean.commits, 0u);
-  EXPECT_EQ(lean.rollbacks, 0u);
-  EXPECT_EQ(lean.bucket_peak, 0u);
-  EXPECT_FALSE(lean.bucket_exhausted);
-  EXPECT_EQ(lean.failed_op_index, -1);
-}
-
-TEST(StatsOnlyMode, ConvKeepsBitsVerdictAndExecutorState) {
-  for (const char* scheme : {"simplex", "dmr", "tmr"}) {
-    for (const FaultKind kind :
-         {FaultKind::kNone, FaultKind::kTransient, FaultKind::kPermanent}) {
-      SCOPED_TRACE(std::string(scheme) + " kind " +
-                   std::to_string(static_cast<int>(kind)));
-      const Geometry& g = kGeometries[0];
-      const ReliableConv2d conv = make_conv(g);
-      const Tensor input = make_input(g);
-      const FaultConfig cfg = config_for(kind);
-
-      const auto lean_exec =
-          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 555));
-      const auto full_exec =
-          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 555));
-      const ReliableResult lean =
-          conv.forward(input, *lean_exec, ReportMode::kStatsOnly);
-      const ReliableResult full =
-          conv.forward(input, *full_exec, ReportMode::kFull);
-
-      expect_outputs_bit_identical(lean.output, full.output);
-      expect_stats_only_report(lean.report, full.report);
-      expect_executors_equal(*lean_exec, *full_exec);
-    }
-  }
-}
-
-TEST(StatsOnlyMode, LinearKeepsBitsVerdictAndExecutorState) {
-  Rng rng(5);
-  Tensor weights(Shape{6, 17});
-  weights.fill_normal(rng, 0.0f, 0.4f);
-  Tensor bias(Shape{6});
-  bias.fill_normal(rng, 0.0f, 0.1f);
-  const ReliableLinear linear(weights, bias);
-  Tensor input(Shape{17});
-  input.fill_normal(rng, 0.0f, 1.0f);
-
-  for (const FaultKind kind : {FaultKind::kNone, FaultKind::kPermanent}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    FaultConfig cfg = config_for(kind);
-    const auto lean_exec =
-        make_executor("dmr", std::make_shared<FaultInjector>(cfg, 77));
-    const auto full_exec =
-        make_executor("dmr", std::make_shared<FaultInjector>(cfg, 77));
-    const ReliableResult lean =
-        linear.forward(input, *lean_exec, ReportMode::kStatsOnly);
-    const ReliableResult full =
-        linear.forward(input, *full_exec, ReportMode::kFull);
-    expect_outputs_bit_identical(lean.output, full.output);
-    expect_stats_only_report(lean.report, full.report);
-    expect_executors_equal(*lean_exec, *full_exec);
-  }
-}
-
-TEST(StatsOnlyMode, CampaignSummariesMatchFullReports) {
-  // A campaign judged only on report.ok and output bits must reduce to
-  // the same summary in both modes — that is the whole point of the
-  // report-free sweep.
-  const Geometry& g = kGeometries[0];
-  const ReliableConv2d conv = make_conv(g);
-  const Tensor input = make_input(g);
-  const Tensor golden = conv.reference_forward(input);
-  constexpr std::size_t kRuns = 24;
-
-  const auto make_exec = [&](std::size_t run) {
-    FaultConfig cfg = config_for(FaultKind::kTransient);
-    cfg.probability = 5e-4;
-    return make_executor("dmr",
-                         std::make_shared<FaultInjector>(cfg, 9000 + run));
-  };
-  const auto classify = [&](std::size_t, const ReliableResult& result,
-                            Executor& exec) {
-    return hybridcnn::faultsim::classify(exec.injector()->stats().faults > 0,
-                                         !result.report.ok,
-                                         result.output == golden);
-  };
-  const CampaignSummary full = conv.forward_campaign(
-      input, kRuns, make_exec, classify, ReportMode::kFull);
-  const CampaignSummary lean = conv.forward_campaign(
-      input, kRuns, make_exec, classify, ReportMode::kStatsOnly);
-  EXPECT_EQ(full.runs, lean.runs);
-  EXPECT_EQ(full.correct, lean.correct);
-  EXPECT_EQ(full.corrected, lean.corrected);
-  EXPECT_EQ(full.detected_abort, lean.detected_abort);
-  EXPECT_EQ(full.silent_corruption, lean.silent_corruption);
 }
 
 TEST(StaticDispatchCampaign, SummariesMatchGenericAtEveryThreadCount) {

@@ -1,8 +1,10 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <vector>
 
 namespace hybridcnn::nn {
 
@@ -69,8 +71,20 @@ void load_weights(Sequential& net, const std::string& path) {
         " parameters, network has " + std::to_string(params.size()));
   }
 
+  // Every tensor is read into a staging buffer first and committed only
+  // once the whole artefact has validated, so a rejected file leaves the
+  // network untouched.
+  std::vector<std::vector<float>> staged;
+  staged.reserve(params.size());
   for (const Param& p : params) {
+    // Check the length before allocating: a corrupt length field must
+    // not turn into a multi-gigabyte string.
     const std::uint32_t name_len = read_u32(in, path);
+    if (name_len != p.name.size()) {
+      throw std::invalid_argument("load_weights: expected parameter '" +
+                                  p.name + "', artefact name has length " +
+                                  std::to_string(name_len));
+    }
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
     if (!in) throw std::runtime_error("load_weights: truncated " + path);
@@ -90,9 +104,14 @@ void load_weights(Sequential& net, const std::string& path) {
                                     p.name);
       }
     }
-    in.read(reinterpret_cast<char*>(p.value->data().data()),
-            static_cast<std::streamsize>(p.value->count() * sizeof(float)));
+    std::vector<float>& values = staged.emplace_back(p.value->count());
+    in.read(reinterpret_cast<char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(float)));
     if (!in) throw std::runtime_error("load_weights: truncated " + path);
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(),
+              params[i].value->data().begin());
   }
 }
 

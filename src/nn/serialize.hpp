@@ -21,7 +21,8 @@ void save_weights(Sequential& net, const std::string& path);
 /// Loads parameters saved by save_weights() into `net`.
 /// Throws std::runtime_error on IO/format failure and
 /// std::invalid_argument if the artefact does not match the network
-/// (count, name or shape of any parameter).
+/// (count, name or shape of any parameter). `net` is left unchanged
+/// whenever it throws.
 void load_weights(Sequential& net, const std::string& path);
 
 }  // namespace hybridcnn::nn

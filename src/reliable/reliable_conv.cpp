@@ -123,8 +123,8 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
   if (exec.guaranteed_fault_free()) {
     // Golden fast path: no operation can fail, so the qualified schedule
     // collapses to raw arithmetic in the identical order (vectorized
-    // across output channels or pixels where the target allows, fanned
-    // across the pool); the per-op bookkeeping is credited in closed
+    // across output channels where the target allows, fanned across the
+    // pool); the per-op bookkeeping is credited in closed
     // form after the join.
     const auto pack = channel_pack();
     detail::conv_raw_compute(plan, pack.get(), in, wgt, b,

@@ -71,7 +71,7 @@ class ReliableConv2d {
   ///
   /// Dispatches once per call on the executor's scheme and injector
   /// state: the three library schemes run a devirtualized inner kernel
-  /// (with a raw-arithmetic fast path — SIMD pixel lanes where the
+  /// (with a raw-arithmetic fast path — SIMD channel lanes where the
   /// target supports them — when the executor is
   /// guaranteed_fault_free()); custom executors fall back to
   /// forward_generic(). Outputs, reports, executor stats and injector

@@ -22,30 +22,22 @@
 //     raw arithmetic in the identical operation order, used when the
 //     executor is guaranteed_fault_free(); callers then credit the
 //     elided bookkeeping in closed form (credit_fault_free_ops). On
-//     SIMD-capable targets (runtime/isa.hpp) two vector strategies
-//     exist, both vectorizing across *independent outputs* — never the
-//     (c, ky, kx) reduction — so bit-identity with the scalar loop holds
-//     by construction:
-//       - pixel lanes (conv_simd_rows): kFloatLanes interior output
-//         pixels of one row per vector, weights re-broadcast per tap;
-//         border pixels and narrow interiors stay scalar.
-//       - channel lanes (conv_channel_pixels): kFloatLanes output
-//         channels per vector over a once-per-weight-generation
-//         repacked [ky][kx][c][o] WeightPack, so every tap is one
-//         contiguous weight vector load times a scalar input broadcast.
-//         All lanes of a vector share (oy, ox) and therefore the tap
-//         ranges, so borders run through the same kernel — no
-//         interior/border split; the padded channel tail scatters only
-//         its valid lanes.
-//     HYBRIDCNN_RELIABLE_KERNEL=pixel|channel|auto (or
-//     set_reliable_kernel_choice) picks the strategy; auto prefers
-//     channel lanes whenever a pack exists and out_c fills a vector.
-//     The fault-free fast path additionally fans its disjoint output
-//     slices across the global runtime::ThreadPool (channel-block
-//     chunks, (channel x row-group) units, or whole channels for the
-//     scalar loop); the elided bookkeeping is credited in closed form
-//     after the join, so outputs and statistics are bit-identical at
-//     every thread count. The runtime kill-switch
+//     SIMD-capable targets (runtime/isa.hpp) the conv path runs channel
+//     lanes (conv_channel_pixels): kFloatLanes output channels per
+//     vector over a once-per-weight-generation repacked [ky][kx][c][o]
+//     WeightPack, so every tap is one contiguous weight vector load
+//     times a scalar input broadcast. It vectorizes across *independent
+//     outputs* — never the (c, ky, kx) reduction — so bit-identity with
+//     the scalar loop holds by construction. All lanes of a vector share
+//     (oy, ox) and therefore the tap ranges, so borders run through the
+//     same kernel — no interior/border split; the padded channel tail
+//     scatters only its valid lanes. The dense path applies the same
+//     idea across output neurons. The fault-free fast path additionally
+//     fans its disjoint output slices across the global
+//     runtime::ThreadPool ((channel-block group, row) units, or whole
+//     channels for the scalar loop); the elided bookkeeping is credited
+//     in closed form after the join, so outputs and statistics are
+//     bit-identical at every thread count. The runtime kill-switch
 //     HYBRIDCNN_RELIABLE_SIMD=0 (or set_reliable_simd_enabled(false))
 //     forces the scalar fast path for debugging and A/B benching.
 //
@@ -85,24 +77,12 @@ namespace hybridcnn::reliable::detail {
 [[nodiscard]] bool reliable_simd_enabled() noexcept;
 void set_reliable_simd_enabled(bool enabled) noexcept;
 
-/// Fault-free conv fast-path vector strategy. kAuto picks per call:
-/// channel lanes whenever the caller supplies a WeightPack and out_c
-/// fills at least one vector, pixel lanes otherwise (which themselves
-/// fall back to scalar on ineligible geometries). Initialised once from
-/// HYBRIDCNN_RELIABLE_KERNEL=pixel|channel|auto — unset or unrecognised
-/// values mean kAuto — and overridable at runtime for A/B benching.
-/// Moot when SIMD is compiled out or the kill-switch is closed: only the
-/// scalar path exists then.
+// kept for perfbench's host block; remove in the next benchmark PR
 enum class ConvKernel : std::uint8_t { kAuto, kPixel, kChannel };
 
-[[nodiscard]] ConvKernel reliable_kernel_choice() noexcept;
-void set_reliable_kernel_choice(ConvKernel choice) noexcept;
-
-/// Parses an HYBRIDCNN_RELIABLE_KERNEL value; nullopt for null or
-/// unrecognised strings (the env reader maps those to kAuto). Exposed so
-/// the override-handling tests can exercise the exact mapping.
-[[nodiscard]] std::optional<ConvKernel> parse_reliable_kernel(
-    const char* value) noexcept;
+[[nodiscard]] constexpr ConvKernel reliable_kernel_choice() noexcept {
+  return ConvKernel::kAuto;
+}
 
 /// Half-open interval of kernel-tap indices that land in-bounds.
 struct TapRange {
@@ -240,14 +220,6 @@ struct ConvPlan {
   std::size_t stride = 0, pad = 0;
   std::vector<TapRange> row_taps;  ///< valid ky per oy
   std::vector<TapRange> col_taps;  ///< valid kx per ox
-  /// Interior ox span: the contiguous [interior_x_begin, interior_x_end)
-  /// where col_taps[ox] is the full [0, kw) — every kx tap of every lane
-  /// lands in-bounds, which is what lets the SIMD fast path run whole
-  /// kx rows without per-tap boundary tests. Empty (begin == end == 0)
-  /// when no ox has a full tap range. Rows need no such split: lanes
-  /// within one vector share oy, so any row tap range works.
-  std::size_t interior_x_begin = 0;
-  std::size_t interior_x_end = 0;
 
   ConvPlan(const tensor::Shape& out_shape, const tensor::Shape& in_shape,
            const tensor::Shape& w_shape, std::size_t stride_,
@@ -256,22 +228,7 @@ struct ConvPlan {
         in_c(in_shape[0]), in_h(in_shape[1]), in_w(in_shape[2]),
         kh(w_shape[2]), kw(w_shape[3]), stride(stride_), pad(pad_),
         row_taps(tap_ranges(out_h, stride, pad, kh, in_h)),
-        col_taps(tap_ranges(out_w, stride, pad, kw, in_w)) {
-    // Full tap ranges form one contiguous run (begin hits 0 once ox*stride
-    // >= pad and stays there; end drops below kw only near the right
-    // border), so a single scan finds the interior.
-    while (interior_x_begin < out_w &&
-           !(col_taps[interior_x_begin].begin == 0 &&
-             col_taps[interior_x_begin].end == kw)) {
-      ++interior_x_begin;
-    }
-    interior_x_end = interior_x_begin;
-    while (interior_x_end < out_w && col_taps[interior_x_end].begin == 0 &&
-           col_taps[interior_x_end].end == kw) {
-      ++interior_x_end;
-    }
-    if (interior_x_begin == out_w) interior_x_begin = interior_x_end = 0;
-  }
+        col_taps(tap_ranges(out_w, stride, pad, kw, in_w)) {}
 
   /// Logical MACs of one forward: separable closed form.
   [[nodiscard]] std::uint64_t macs() const noexcept {
@@ -314,13 +271,12 @@ HYBRIDCNN_CONTRACT(channel_pack_width(96) % runtime::isa::kFloatLanes == 0 &&
 /// Channel-lane weight layout for the fault-free fast path: the OIHW
 /// weights repacked into [ky][kx][c][o] panels with the output-channel
 /// axis padded to the vector width, so every (c, ky, kx) tap of a
-/// channel block is one contiguous vector load (the pixel-lane kernel
-/// instead re-broadcasts each weight scalar per tap). Padding lanes
-/// carry zero weights/bias and are never stored back, so they cannot
-/// perturb outputs. The pack is input-shape independent — one pack
-/// serves every forward geometry — and is built once per weight
-/// generation: owners (ReliableConv2d) cache it and compare `generation`
-/// against their current weight generation to invalidate.
+/// channel block is one contiguous vector load. Padding lanes carry zero
+/// weights/bias and are never stored back, so they cannot perturb
+/// outputs. The pack is input-shape independent — one pack serves every
+/// forward geometry — and is built once per weight generation: owners
+/// (ReliableConv2d) cache it and compare `generation` against their
+/// current weight generation to invalidate.
 struct WeightPack {
   std::vector<float> weights;  ///< [(ky*kw + kx)*in_c + c][padded_oc]
   std::vector<float> bias;     ///< [padded_oc], zero beyond oc
@@ -446,31 +402,10 @@ void conv_forward_qualified(const ConvPlan& plan, const float* input,
   report.bucket_exhausted = bucket.exhausted();
 }
 
-/// One fault-free output pixel: the scalar reduction every path — scalar
-/// loop, SIMD lane, generic oracle — must reproduce bit for bit.
-HYBRIDCNN_RELIABLE_ALWAYS_INLINE float conv_raw_pixel(
-    const ConvPlan& plan, const float* input, const float* weights, float b,
-    std::size_t o, std::size_t oy, std::size_t ox,
-    const TapRange ry) noexcept {
-  const TapRange rx = plan.col_taps[ox];
-  float acc = b;
-  for (std::size_t c = 0; c < plan.in_c; ++c) {
-    for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
-      const std::size_t iy = oy * plan.stride + ky - plan.pad;
-      const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
-      const float* w_row =
-          weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
-      for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
-        const std::size_t ix = ox * plan.stride + kx - plan.pad;
-        acc = acc + input[in_base + ix] * w_row[kx];
-      }
-    }
-  }
-  return acc;
-}
-
 /// Every fault-free output pixel of one output channel, scalar form —
-/// the per-channel unit the pooled scalar fan-out executes.
+/// the per-pixel reduction every path (SIMD lane, generic oracle) must
+/// reproduce bit for bit, and the per-channel unit the pooled scalar
+/// fan-out executes.
 inline void conv_scalar_channel(const ConvPlan& plan, const float* input,
                                 const float* weights, float b, std::size_t o,
                                 float* out) noexcept {
@@ -478,292 +413,32 @@ inline void conv_scalar_channel(const ConvPlan& plan, const float* input,
     const TapRange ry = plan.row_taps[oy];
     float* out_row = out + (o * plan.out_h + oy) * plan.out_w;
     for (std::size_t ox = 0; ox < plan.out_w; ++ox) {
-      out_row[ox] = conv_raw_pixel(plan, input, weights, b, o, oy, ox, ry);
+      const TapRange rx = plan.col_taps[ox];
+      float acc = b;
+      for (std::size_t c = 0; c < plan.in_c; ++c) {
+        for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
+          const std::size_t iy = oy * plan.stride + ky - plan.pad;
+          const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
+          const float* w_row =
+              weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
+          for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
+            const std::size_t ix = ox * plan.stride + kx - plan.pad;
+            acc = acc + input[in_base + ix] * w_row[kx];
+          }
+        }
+      }
+      out_row[ox] = acc;
     }
   }
 }
 
 #ifdef HYBRIDCNN_ISA_SIMD
 
-/// Strided convs go through a row-deinterleave pack (see
-/// conv_simd_rows); the pack buffer lives on the stack, so cap the
-/// strides and kernel widths it serves. Anything wider stays scalar
-/// (no real CNN layer is near these bounds).
-inline constexpr std::size_t kMaxSimdStride = 8;
-inline constexpr std::size_t kMaxSimdKw = 32;
-
-/// Output rows with full vertical tap ranges are processed in groups of
-/// up to this many rows at once. Each row keeps its own accumulator (its
-/// own scalar-order chain — bit-identity is per lane per row), but the
-/// chains are independent, so interleaving them hides the vector-add
-/// latency a single chain is bound by, and the per-tap weight broadcast
-/// is shared across the group.
-inline constexpr std::size_t kSimdRowUnroll = 4;
-
-#if defined(__GNUC__) && !defined(__clang__)
-/// GCC's __builtin_shuffle takes a runtime integer-vector mask, which
-/// lets the strided-pack deinterleave stay lane-count generic. Clang
-/// only has the constant-index variant; it keeps the scalar pack.
-#define HYBRIDCNN_RELIABLE_VEC_SHUFFLE 1
-typedef std::int32_t VecShufI __attribute__((
-    vector_size(sizeof(std::int32_t) * runtime::isa::kFloatLanes)));
-// __builtin_shuffle requires the mask vector to match the shuffled
-// vector's size and lane count exactly; a drifting VecShufI would be a
-// compile error on some targets and silent lane garbage on others.
-HYBRIDCNN_CONTRACT(sizeof(VecShufI) == sizeof(runtime::isa::VecF),
-                   "shuffle mask vector must match VecF lane-for-lane");
-#endif
-
-/// dst[i] = src[i * s] for i in [0, n): the strided-row deinterleave the
-/// SIMD conv kernel runs per (channel, kernel row). For the common conv
-/// strides 2 and 4 the gather is a register deinterleave: load the
-/// contiguous span and shuffle out every s-th lane. A full vector chunk
-/// reads s*lanes contiguous floats, which exceeds the strided extent
-/// (n-1)*s + 1 unless one more strided element follows the chunk, so
-/// chunks stop one element early (i + lanes < n) and the tail — and any
-/// other stride — goes element-wise. Shuffles only move values:
-/// bit-identity is untouched.
-HYBRIDCNN_RELIABLE_ALWAYS_INLINE void pack_strided(const float* src,
-                                                   float* dst, std::size_t n,
-                                                   std::size_t s) noexcept {
-  namespace isa = runtime::isa;
-  std::size_t i = 0;
-#ifdef HYBRIDCNN_RELIABLE_VEC_SHUFFLE
-  constexpr int kLc = static_cast<int>(isa::kFloatLanes);
-  if (s == 2) {
-    VecShufI m2;
-    for (int j = 0; j < kLc; ++j) m2[j] = 2 * j;
-    for (; i + isa::kFloatLanes < n; i += isa::kFloatLanes) {
-      const float* p = src + i * 2;
-      isa::storeu(dst + i,
-                  __builtin_shuffle(isa::loadu(p), isa::loadu(p + kLc), m2));
-    }
-  } else if (s == 4) {
-    // Two-stage stride-4 deinterleave: each pair of input vectors yields
-    // its every-4th lanes in its low half (mask indices wrap modulo the
-    // two-operand width, so the upper-half entries are don't-cares),
-    // then the halves concatenate.
-    VecShufI m4;
-    VecShufI mcat;
-    for (int j = 0; j < kLc; ++j) m4[j] = (4 * j) & (2 * kLc - 1);
-    for (int j = 0; j < kLc; ++j) {
-      mcat[j] = j < kLc / 2 ? j : kLc + (j - kLc / 2);
-    }
-    for (; i + isa::kFloatLanes < n; i += isa::kFloatLanes) {
-      const float* p = src + i * 4;
-      const isa::VecF a =
-          __builtin_shuffle(isa::loadu(p), isa::loadu(p + kLc), m4);
-      const isa::VecF b =
-          __builtin_shuffle(isa::loadu(p + 2 * kLc), isa::loadu(p + 3 * kLc),
-                            m4);
-      isa::storeu(dst + i, __builtin_shuffle(a, b, mcat));
-    }
-  }
-#endif
-  for (; i < n; ++i) dst[i] = src[i * s];
-}
-
-/// One lane-width block of interior output pixels for R adjacent output
-/// rows: lane l of acc[r] accumulates output pixel (oy0+r, ox0+l). The
-/// reduction runs in the scalar order — per (c, ky, kx) one weight
-/// broadcast and one per-lane mul-then-add — so every lane performs
-/// exactly the scalar pixel's operation sequence (vector mul/add are
-/// lane-wise IEEE ops and the reliable subsystem compiles with
-/// -ffp-contract=off, so no fusion can reassociate them). For R > 1 the
-/// caller guarantees all R rows share the full vertical tap range `ry`;
-/// R == 1 accepts any row's range.
-///
-/// kStride1 hoists the contiguous-load case: with stride 1 the lane
-/// inputs are adjacent and one unaligned vector load serves each tap.
-/// With stride s > 1 the lane inputs are s apart, but taps sharing a
-/// residue kx mod s read the same strided sequence shifted by whole
-/// lanes: tap kx = q*s + res needs in_row[base + res + (q+l)*s] for lane
-/// l. So each (c, ky) input row is deinterleaved once into s
-/// residue-packed buffers — buf_res[i] = in_row[base + res + i*s] — and
-/// every tap becomes one contiguous vector load at buf_res + q,
-/// replacing a per-tap per-lane gather with one pack amortized over the
-/// kw/s taps of each residue. Packing only moves values, and the kx loop
-/// still walks taps in scalar order, so bit-identity is untouched.
-template <bool kStride1, std::size_t R>
-HYBRIDCNN_RELIABLE_ALWAYS_INLINE void conv_simd_rows(
-    const ConvPlan& plan, const float* input, const float* weights, float b,
-    std::size_t o, std::size_t oy0, std::size_t ox0, const TapRange ry,
-    float* out) noexcept {
-  namespace isa = runtime::isa;
-  static_assert(R >= 1 && R <= kSimdRowUnroll);
-  isa::VecF acc[R];
-  for (std::size_t r = 0; r < R; ++r) acc[r] = isa::splat(b);
-  const std::size_t s = plan.stride;
-  // Interior ox: ox*stride >= pad (tap 0 valid), so the unsigned
-  // subtraction cannot wrap, and tap kw-1 lands in-bounds for every
-  // lane.
-  const std::size_t base = ox0 * s - plan.pad;
-  // Per-residue buffer length: residue 0 has the most taps,
-  // (kw-1)/s + 1, and the load at its last tap reads lanes up to
-  // (kw-1)/s + kFloatLanes - 1.
-  [[maybe_unused]] const std::size_t len =
-      kStride1 ? 0 : isa::kFloatLanes + (plan.kw - 1) / s;
-  [[maybe_unused]] float
-      buf[kSimdRowUnroll * kMaxSimdStride * (isa::kFloatLanes + kMaxSimdKw)];
-  for (std::size_t c = 0; c < plan.in_c; ++c) {
-    for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
-      const std::size_t iy0 = oy0 * s + ky - plan.pad;
-      const float* in_row = input + (c * plan.in_h + iy0) * plan.in_w;
-      // Adjacent output rows are `stride` input rows apart.
-      const std::size_t row_step = s * plan.in_w;
-      const float* w_row =
-          weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
-      if constexpr (kStride1) {
-        for (std::size_t kx = 0; kx < plan.kw; ++kx) {
-          const isa::VecF wv = isa::splat(w_row[kx]);
-          for (std::size_t r = 0; r < R; ++r) {
-            acc[r] =
-                acc[r] + isa::loadu(in_row + r * row_step + base + kx) * wv;
-          }
-        }
-      } else {
-        for (std::size_t r = 0; r < R; ++r) {
-          for (std::size_t res = 0; res < s && res < plan.kw; ++res) {
-            // Last element packed for a residue is exactly the last
-            // lane's last tap of that residue — in bounds by the
-            // interior guarantee.
-            const std::size_t n =
-                (plan.kw - 1 - res) / s + isa::kFloatLanes;
-            pack_strided(in_row + r * row_step + base + res,
-                         buf + (r * s + res) * len, n, s);
-          }
-        }
-        // Taps still accumulate in kx order (bit-identity); walk the
-        // (residue, shift) pair incrementally instead of dividing.
-        std::size_t res = 0;
-        std::size_t q = 0;
-        for (std::size_t kx = 0; kx < plan.kw; ++kx) {
-          const isa::VecF wv = isa::splat(w_row[kx]);
-          for (std::size_t r = 0; r < R; ++r) {
-            acc[r] = acc[r] + isa::loadu(buf + (r * s + res) * len + q) * wv;
-          }
-          if (++res == s) {
-            res = 0;
-            ++q;
-          }
-        }
-      }
-    }
-  }
-  for (std::size_t r = 0; r < R; ++r) {
-    isa::storeu(out + (o * plan.out_h + oy0 + r) * plan.out_w + ox0, acc[r]);
-  }
-}
-
-/// R adjacent output rows end to end: scalar left border, vector blocks
-/// across the interior, scalar right border. The interior tail that does
-/// not fill a lane block is finished by one extra block anchored at
-/// interior_x_end - lanes: its leading lanes recompute pixels the
-/// previous block already produced, but recomputation is deterministic
-/// and bit-identical, so the overwrite is invisible — and the whole
-/// interior runs vectorized instead of dropping up to lanes-1 pixels per
-/// row to the scalar loop. (Fast-path op counters are credited in closed
-/// form from the plan's MAC count, so recomputed lanes do not skew
-/// reports.)
-template <bool kStride1, std::size_t R>
-inline void conv_simd_row_group(const ConvPlan& plan, const float* input,
-                                const float* weights, float b, std::size_t o,
-                                std::size_t oy0, const TapRange ry,
-                                float* out) noexcept {
-  namespace isa = runtime::isa;
-  for (std::size_t r = 0; r < R; ++r) {
-    float* out_row = out + (o * plan.out_h + oy0 + r) * plan.out_w;
-    for (std::size_t ox = 0; ox < plan.interior_x_begin; ++ox) {
-      out_row[ox] = conv_raw_pixel(plan, input, weights, b, o, oy0 + r, ox,
-                                   plan.row_taps[oy0 + r]);
-    }
-  }
-  std::size_t ox0 = plan.interior_x_begin;
-  for (; ox0 + isa::kFloatLanes <= plan.interior_x_end;
-       ox0 += isa::kFloatLanes) {
-    conv_simd_rows<kStride1, R>(plan, input, weights, b, o, oy0, ox0, ry,
-                                out);
-  }
-  if (ox0 < plan.interior_x_end &&
-      plan.interior_x_end - plan.interior_x_begin >= isa::kFloatLanes) {
-    conv_simd_rows<kStride1, R>(plan, input, weights, b, o, oy0,
-                                plan.interior_x_end - isa::kFloatLanes, ry,
-                                out);
-    ox0 = plan.interior_x_end;
-  }
-  for (std::size_t r = 0; r < R; ++r) {
-    float* out_row = out + (o * plan.out_h + oy0 + r) * plan.out_w;
-    for (std::size_t ox = ox0; ox < plan.out_w; ++ox) {
-      out_row[ox] = conv_raw_pixel(plan, input, weights, b, o, oy0 + r, ox,
-                                   plan.row_taps[oy0 + r]);
-    }
-  }
-}
-
-/// Deterministic pixel-kernel row grouping: maximal runs of
-/// kSimdRowUnroll adjacent rows sharing the full vertical tap range form
-/// one group each; every other row (borders, run remainders) is its own
-/// group. A pure function of the plan — the pooled (channel x group)
-/// fan-out enumerates the same units in the same order at any thread
-/// count. Each pair is (oy0, run) with run either kSimdRowUnroll or 1.
-inline std::vector<std::pair<std::size_t, std::size_t>> pixel_row_groups(
-    const ConvPlan& plan) {
-  std::vector<std::pair<std::size_t, std::size_t>> groups;
-  const auto row_is_full = [&](std::size_t oy) noexcept {
-    const TapRange t = plan.row_taps[oy];
-    return t.begin == 0 && t.end == plan.kh;
-  };
-  std::size_t oy = 0;
-  while (oy < plan.out_h) {
-    std::size_t run = 0;
-    if (row_is_full(oy)) {
-      run = 1;
-      while (run < kSimdRowUnroll && oy + run < plan.out_h &&
-             row_is_full(oy + run)) {
-        ++run;
-      }
-    }
-    if (run == kSimdRowUnroll) {
-      groups.emplace_back(oy, kSimdRowUnroll);
-      oy += kSimdRowUnroll;
-    } else {
-      groups.emplace_back(oy, std::size_t{1});
-      oy += 1;
-    }
-  }
-  return groups;
-}
-
-/// One (output channel, row group) unit of the pixel-lane kernel — the
-/// granule the pooled fan-out distributes. Writes only rows
-/// [oy0, oy0 + run) of channel o.
-inline void conv_pixel_unit(const ConvPlan& plan, const float* input,
-                            const float* weights, float b, std::size_t o,
-                            std::size_t oy0, std::size_t run, bool stride1,
-                            float* out) noexcept {
-  if (run == kSimdRowUnroll) {
-    const TapRange full_ry{0, plan.kh};
-    if (stride1) {
-      conv_simd_row_group<true, kSimdRowUnroll>(plan, input, weights, b, o,
-                                                oy0, full_ry, out);
-    } else {
-      conv_simd_row_group<false, kSimdRowUnroll>(plan, input, weights, b, o,
-                                                 oy0, full_ry, out);
-    }
-  } else {
-    const TapRange ry = plan.row_taps[oy0];
-    if (stride1) {
-      conv_simd_row_group<true, 1>(plan, input, weights, b, o, oy0, ry, out);
-    } else {
-      conv_simd_row_group<false, 1>(plan, input, weights, b, o, oy0, ry, out);
-    }
-  }
-}
-
 /// Channel blocks (of kFloatLanes output channels each) processed
-/// together per output-pixel pass. Like the pixel kernel's row groups:
-/// each block keeps its own accumulator chain, and grouping amortizes
-/// the input broadcast while hiding vector-add latency.
+/// together per output-pixel pass. Each block keeps its own accumulator
+/// chain (its own scalar-order chain — bit-identity is per lane), but the
+/// chains are independent, so grouping amortizes the input broadcast
+/// while hiding vector-add latency.
 inline constexpr std::size_t kChannelBlockUnroll = 4;
 
 /// B channel blocks x P output pixels of the channel-lane kernel: lane l
@@ -860,11 +535,7 @@ inline void conv_channel_group_row(const ConvPlan& plan,
 /// output element sees the same kernel instantiation — and the same
 /// per-lane arithmetic order — at any parallelism.
 inline std::size_t channel_group_count(const WeightPack& pack) noexcept {
-#ifdef HYBRIDCNN_ISA_SIMD
   const std::size_t blocks = pack.padded_oc / runtime::isa::kFloatLanes;
-#else
-  const std::size_t blocks = pack.padded_oc;
-#endif
   return (blocks + kChannelBlockUnroll - 1) / kChannelBlockUnroll;
 }
 
@@ -894,78 +565,40 @@ inline void conv_channel_unit(const ConvPlan& plan, const WeightPack& pack,
 
 #endif  // HYBRIDCNN_ISA_SIMD
 
-/// True when the pixel-lane kernel can vectorize this geometry (interior
-/// wide enough for a lane block, pack-buffer-bounded strides).
-/// Independent of the runtime switches.
-inline bool pixel_kernel_eligible(const ConvPlan& plan) noexcept {
-#ifdef HYBRIDCNN_ISA_SIMD
-  return plan.interior_x_end - plan.interior_x_begin >=
-             runtime::isa::kFloatLanes &&
-         (plan.stride == 1 ||
-          (plan.stride <= kMaxSimdStride && plan.kw <= kMaxSimdKw));
-#else
-  (void)plan;
-  return false;
-#endif
-}
-
-/// Fault-free convolution fast path. Picks the kernel — channel lanes
-/// over the repacked weights, pixel lanes, or scalar — from the target,
-/// the runtime switches and the auto heuristic, then fans the disjoint
-/// output slices across the global pool: channel-block chunks for the
-/// channel kernel, (channel x row-group) units for the pixel kernel,
-/// whole channels for the scalar loop. Every output element is computed
-/// by exactly one unit in the scalar per-pixel reduction order, and the
-/// elided qualified bookkeeping is credited in closed form by the caller
-/// after the join, so outputs and statistics are bit-identical at every
-/// thread count. Inside an outer parallel region (batched classify,
-/// campaign fan-out) the pool serialises the nested fan inline. `pack`
-/// may be null — the channel kernel is then unavailable and forced
-/// kChannel falls through like an ineligible pixel geometry.
+/// Fault-free convolution fast path: channel lanes over the repacked
+/// weights on SIMD targets with the kill-switch open, the scalar loop
+/// otherwise. Fans the disjoint output slices across the global pool —
+/// (block group, output row) units for channel lanes, whole channels for
+/// the scalar loop. Every output element is computed by exactly one unit
+/// in the scalar per-pixel reduction order, and the elided qualified
+/// bookkeeping is credited in closed form by the caller after the join,
+/// so outputs and statistics are bit-identical at every thread count.
+/// Inside an outer parallel region (batched classify, campaign fan-out)
+/// the pool serialises the nested fan inline. Precondition on SIMD
+/// targets: `pack` is non-null (ReliableConv2d::channel_pack() always
+/// builds one there).
 inline void conv_raw_compute(const ConvPlan& plan, const WeightPack* pack,
                              const float* input, const float* weights,
                              const float* bias, float* out) {
   runtime::ThreadPool& pool = runtime::ComputeContext::global().pool();
 #ifdef HYBRIDCNN_ISA_SIMD
   if (reliable_simd_enabled()) {
-    ConvKernel kernel = reliable_kernel_choice();
-    if (kernel == ConvKernel::kAuto) {
-      kernel = pack != nullptr && plan.out_c >= runtime::isa::kFloatLanes
-                   ? ConvKernel::kChannel
-                   : ConvKernel::kPixel;
-    }
-    if (kernel == ConvKernel::kChannel && pack != nullptr) {
-      // Units are (block group, output row): the block grouping — and
-      // with it every kernel instantiation — is fixed by the pack alone,
-      // so chunk boundaries only decide which thread runs a unit, and
-      // rows give the fan enough units even when the channel extent is a
-      // single group.
-      const std::size_t groups = channel_group_count(*pack);
-      pool.parallel_for_chunks(
-          0, groups * plan.out_h, 1,
-          [&](std::size_t begin, std::size_t end, std::size_t) {
-            for (std::size_t u = begin; u < end; ++u) {
-              conv_channel_unit(plan, *pack, input, u / plan.out_h,
-                                u % plan.out_h, out);
-            }
-          });
-      return;
-    }
-    if (kernel != ConvKernel::kChannel && pixel_kernel_eligible(plan)) {
-      const auto groups = pixel_row_groups(plan);
-      const bool stride1 = plan.stride == 1;
-      pool.parallel_for_chunks(
-          0, plan.out_c * groups.size(), 1,
-          [&](std::size_t begin, std::size_t end, std::size_t) {
-            for (std::size_t u = begin; u < end; ++u) {
-              const std::size_t o = u / groups.size();
-              const auto [oy0, run] = groups[u % groups.size()];
-              conv_pixel_unit(plan, input, weights, bias[o], o, oy0, run,
-                              stride1, out);
-            }
-          });
-      return;
-    }
+    assert(pack != nullptr && "conv_raw_compute: SIMD path needs a pack");
+    // Units are (block group, output row): the block grouping — and with
+    // it every kernel instantiation — is fixed by the pack alone, so
+    // chunk boundaries only decide which thread runs a unit, and rows
+    // give the fan enough units even when the channel extent is a single
+    // group.
+    const std::size_t groups = channel_group_count(*pack);
+    pool.parallel_for_chunks(
+        0, groups * plan.out_h, 1,
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+          for (std::size_t u = begin; u < end; ++u) {
+            conv_channel_unit(plan, *pack, input, u / plan.out_h,
+                              u % plan.out_h, out);
+          }
+        });
+    return;
   }
 #else
   (void)pack;

@@ -10,8 +10,8 @@
 //     tile from kFloatLanes (the accumulator block must fill but not
 //     spill the vector register file);
 //   * reliable/static_dispatch.hpp — the fault-free qualified kernels
-//     vectorize across independent output pixels in kFloatLanes-wide
-//     blocks (pixel-axis lanes, never the reduction axis, so every
+//     vectorize across independent output channels in kFloatLanes-wide
+//     blocks (channel-axis lanes, never the reduction axis, so every
 //     lane reproduces the scalar operation order bit for bit).
 //
 // When HYBRIDCNN_ISA_SIMD is not defined (non-GNU compilers), VecF and
@@ -45,8 +45,8 @@ inline constexpr std::size_t kFloatLanes = 1;
 inline constexpr const char* kIsaName = "scalar";
 #endif
 
-// Lane-width contracts every SIMD consumer leans on: the overlapping
-// remainder blocks in the reliable kernels and the GEMM register tiles
+// Lane-width contracts every SIMD consumer leans on: the lane-padded
+// channel blocks in the reliable kernels and the GEMM register tiles
 // assume the vector is exactly kFloatLanes floats and that lane counts
 // are powers of two (mask and padding arithmetic uses & / % freely).
 HYBRIDCNN_CONTRACT(util::contracts::is_pow2(kFloatLanes),

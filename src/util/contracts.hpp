@@ -15,7 +15,7 @@
 //     Scheme enum / dispatch-table agreement;
 //   * runtime/isa.hpp + reliable/static_dispatch.hpp — ISA lane-width /
 //     pack-padding consistency (a vector that is not exactly
-//     kFloatLanes floats breaks the overlapping-remainder trick);
+//     kFloatLanes floats breaks the lane-padded pack and tail scatter);
 //   * reliable/checkpoint.hpp, core/fault_seed_stream.hpp,
 //     faultsim/* — trivially-copyable checkpoint/seed/stat payloads
 //     (committed state is modelled as an atomic NVM write; that model is
@@ -60,8 +60,8 @@
 namespace hybridcnn::util::contracts {
 
 /// True iff n is a power of two (and nonzero). Vector lane counts and
-/// pack paddings must be powers of two for the masked-tail and
-/// overlapping-remainder arithmetic in the SIMD kernels to be exact.
+/// pack paddings must be powers of two for the masked-tail and padding
+/// arithmetic in the SIMD kernels to be exact.
 constexpr bool is_pow2(std::size_t n) noexcept {
   return n != 0 && (n & (n - 1)) == 0;
 }

@@ -1,15 +1,14 @@
-// SIMD fast-path bit-identity contract: the pixel-lane vectorized
+// SIMD fast-path bit-identity contract: the channel-lane vectorized
 // fault-free kernels (reliable/static_dispatch.hpp over runtime/isa.hpp)
 // must produce the same output bits, reports and executor/injector state
 // as the scalar fast path (kill-switch closed) and the generic
-// virtual-dispatch oracle — across schemes, interior/border/lane-remainder
-// geometries, stride variants and thread counts. Armed injectors must
-// bypass the vector path entirely (it exists only where no fault can be
-// injected), which the faulty cases here pin down.
+// virtual-dispatch oracle — across schemes, border/partial-block/
+// multi-block geometries, stride variants and thread counts. Armed
+// injectors must bypass the vector path entirely (it exists only where no
+// fault can be injected), which the faulty cases here pin down.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -36,11 +35,7 @@ using hybridcnn::reliable::make_executor;
 using hybridcnn::reliable::ReliableConv2d;
 using hybridcnn::reliable::ReliableLinear;
 using hybridcnn::reliable::ReliableResult;
-using hybridcnn::reliable::detail::ConvKernel;
-using hybridcnn::reliable::detail::parse_reliable_kernel;
-using hybridcnn::reliable::detail::reliable_kernel_choice;
 using hybridcnn::reliable::detail::reliable_simd_enabled;
-using hybridcnn::reliable::detail::set_reliable_kernel_choice;
 using hybridcnn::reliable::detail::set_reliable_simd_enabled;
 using hybridcnn::runtime::ComputeContext;
 using hybridcnn::runtime::isa::kFloatLanes;
@@ -59,35 +54,24 @@ class SimdGuard {
   bool saved_;
 };
 
-/// Same for the kernel-strategy override: tests that pin a kernel must
-/// not leak the forced choice (or clobber an HYBRIDCNN_RELIABLE_KERNEL
-/// override the whole suite is running under) into other tests.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(reliable_kernel_choice()) {}
-  ~KernelGuard() { set_reliable_kernel_choice(saved_); }
-
- private:
-  ConvKernel saved_;
-};
-
 struct Geometry {
   std::size_t out_c, in_c, k, stride, pad, h, w;
 };
 
-// Wide outputs on purpose: every geometry except the last has an interior
-// ox span of at least 16 (one full AVX-512 lane block, several at
-// narrower ISAs) plus a lane remainder; pad variants put border pixels on
-// both sides of the vector blocks, and stride 2 exercises the gathered
-// (non-contiguous) lane loads. The last geometry's interior is narrower
-// than a 16-wide block, covering the scalar fallback on wide ISAs.
+// Channel counts straddle the lane width: below one block (partial tail
+// only), and — in the last geometry — the 4-block group, the 2-block
+// remainder group and a partial tail block in a single conv. Pad
+// variants put border pixels on both sides, stride 2 shifts the tap
+// ranges per output column, and the 1x1 / heavy-pad / narrow rows cover
+// degenerate tap intervals.
 const std::vector<Geometry> kGeometries = {
-    {4, 3, 3, 1, 1, 24, 40},  // stride 1, borders + 38-wide interior
-    {3, 2, 5, 2, 2, 30, 50},  // stride 2: gathered lanes, 22-wide interior
+    {4, 3, 3, 1, 1, 24, 40},  // stride 1, borders on both sides
+    {3, 2, 5, 2, 2, 30, 50},  // stride 2, per-column tap ranges
     {2, 1, 3, 1, 0, 20, 36},  // valid conv: interior-only rows
-    {2, 2, 1, 1, 0, 6, 21},   // 1x1 kernel, odd width lane remainder
+    {2, 2, 1, 1, 0, 6, 21},   // 1x1 kernel, odd width
     {1, 1, 5, 1, 4, 12, 28},  // heavy pad: 4-wide borders both sides
-    {2, 2, 3, 1, 1, 5, 9},    // interior (7) below a 16-lane block
+    {2, 2, 3, 1, 1, 5, 9},    // narrow output
+    {5 * kFloatLanes + 3, 3, 3, 2, 1, 17, 19},  // 4 + 2 blocks + tail
 };
 
 ReliableConv2d make_conv(const Geometry& g, std::uint64_t seed = 11) {
@@ -115,36 +99,6 @@ void expect_bits_equal(const Tensor& a, const Tensor& b) {
         << "first differing element at flat index " << i;
   }
   ASSERT_TRUE(hybridcnn::tensor::bit_identical(a, b));
-}
-
-// ----------------------------------------------------------- geometry
-
-TEST(SimdDispatchGeometry, InteriorSpansCoverBlocksAndRemainders) {
-  // The sweep below only proves something if the vector kernel actually
-  // runs: the wide geometries must hold at least one full lane block.
-  using hybridcnn::reliable::detail::ConvPlan;
-  for (std::size_t gi = 0; gi + 1 < kGeometries.size(); ++gi) {
-    const Geometry& g = kGeometries[gi];
-    const ReliableConv2d conv = make_conv(g);
-    const Shape in{g.in_c, g.h, g.w};
-    const ConvPlan plan(conv.output_shape(in), in,
-                        Shape{g.out_c, g.in_c, g.k, g.k}, g.stride, g.pad);
-    EXPECT_GE(plan.interior_x_end - plan.interior_x_begin, kFloatLanes)
-        << "geometry " << gi << " has no full lane block";
-  }
-  // And at least one wide geometry must leave a lane remainder, so the
-  // scalar tail after the vector blocks is exercised too.
-  bool any_remainder = false;
-  for (std::size_t gi = 0; gi + 1 < kGeometries.size(); ++gi) {
-    const Geometry& g = kGeometries[gi];
-    const ReliableConv2d conv = make_conv(g);
-    const Shape in{g.in_c, g.h, g.w};
-    const ConvPlan plan(conv.output_shape(in), in,
-                        Shape{g.out_c, g.in_c, g.k, g.k}, g.stride, g.pad);
-    any_remainder |=
-        (plan.interior_x_end - plan.interior_x_begin) % kFloatLanes != 0;
-  }
-  EXPECT_TRUE(any_remainder);
 }
 
 // ------------------------------------------------- conv fault-free path
@@ -345,19 +299,15 @@ TEST_P(SimdDispatchThreads, FaultFreeCampaignMatchesGeneric) {
 INSTANTIATE_TEST_SUITE_P(Threads, SimdDispatchThreads,
                          ::testing::Values<std::size_t>(1, 2, 8));
 
-// ------------------------------------------- kernel-strategy four-way
+// ---------------------------------------------- vector-kernel threads
 
-/// Channel-lane vs pixel-lane vs scalar vs generic, across every scheme
-/// and geometry, at each pool width. The channel kernel is forced even
-/// where the auto heuristic would not pick it (out_c below a lane block)
-/// so its masked tail-store path is exercised hard; the pixel kernel is
-/// forced even where it is ineligible (narrow interior), which must fall
-/// back to the scalar loop — also bit-identical.
+/// Vector vs scalar vs generic, across every scheme and geometry, at
+/// each pool width: the (block group, row) fan-out must not perturb a
+/// bit, including the masked tail-store path of out_c below a lane block.
 class SimdKernelThreads : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(SimdKernelThreads, ChannelPixelScalarGenericAgreeBitForBit) {
+TEST_P(SimdKernelThreads, VectorScalarGenericAgreeBitForBit) {
   const SimdGuard guard;
-  const KernelGuard kernel_guard;
   ComputeContext::set_global_threads(GetParam());
   for (const char* scheme : {"simplex", "dmr", "tmr"}) {
     for (std::size_t gi = 0; gi < kGeometries.size(); ++gi) {
@@ -371,22 +321,17 @@ TEST_P(SimdKernelThreads, ChannelPixelScalarGenericAgreeBitForBit) {
       const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
 
       set_reliable_simd_enabled(false);
-      set_reliable_kernel_choice(ConvKernel::kAuto);
       const auto scalar_exec = make_executor(scheme, nullptr);
       const ReliableResult scalar = conv.forward(input, *scalar_exec);
 
       set_reliable_simd_enabled(true);
-      for (const ConvKernel kernel :
-           {ConvKernel::kPixel, ConvKernel::kChannel, ConvKernel::kAuto}) {
-        set_reliable_kernel_choice(kernel);
-        const auto exec = make_executor(scheme, nullptr);
-        const ReliableResult fast = conv.forward(input, *exec);
-        ASSERT_TRUE(fast.report.ok);
-        expect_bits_equal(fast.output, oracle.output);
-        EXPECT_TRUE(fast.report == oracle.report);
-        EXPECT_EQ(exec->stats().logical_ops, oracle_exec->stats().logical_ops);
-        EXPECT_EQ(exec->stats().executions, oracle_exec->stats().executions);
-      }
+      const auto exec = make_executor(scheme, nullptr);
+      const ReliableResult fast = conv.forward(input, *exec);
+      ASSERT_TRUE(fast.report.ok);
+      expect_bits_equal(fast.output, oracle.output);
+      EXPECT_TRUE(fast.report == oracle.report);
+      EXPECT_EQ(exec->stats().logical_ops, oracle_exec->stats().logical_ops);
+      EXPECT_EQ(exec->stats().executions, oracle_exec->stats().executions);
       expect_bits_equal(scalar.output, oracle.output);
       EXPECT_TRUE(scalar.report == oracle.report);
     }
@@ -401,9 +346,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, SimdKernelThreads,
 
 TEST(WeightRepack, ConvPackIsInvalidatedBySetWeights) {
   const SimdGuard guard;
-  const KernelGuard kernel_guard;
   set_reliable_simd_enabled(true);
-  set_reliable_kernel_choice(ConvKernel::kChannel);
 
   const Geometry& g = kGeometries[0];
   ReliableConv2d conv = make_conv(g);
@@ -490,31 +433,6 @@ TEST(WeightRepack, LinearPackIsInvalidatedBySetWeights) {
 
   Tensor bad(Shape{out_n, in_n + 1});
   EXPECT_THROW(linear.set_weights(bad), std::invalid_argument);
-}
-
-// ------------------------------------------------- override handling
-
-TEST(KernelChoice, ParseAcceptsExactSpellingsOnly) {
-  EXPECT_EQ(parse_reliable_kernel(nullptr), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("pixel"), ConvKernel::kPixel);
-  EXPECT_EQ(parse_reliable_kernel("channel"), ConvKernel::kChannel);
-  EXPECT_EQ(parse_reliable_kernel("auto"), ConvKernel::kAuto);
-  // Typos and near-misses must not silently pin a strategy.
-  EXPECT_EQ(parse_reliable_kernel(""), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("Pixel"), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("CHANNEL"), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("pixel "), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("channels"), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("0"), std::nullopt);
-}
-
-TEST(KernelChoice, SetAndRestoreRoundTrips) {
-  const KernelGuard kernel_guard;
-  for (const ConvKernel kernel :
-       {ConvKernel::kPixel, ConvKernel::kChannel, ConvKernel::kAuto}) {
-    set_reliable_kernel_choice(kernel);
-    EXPECT_EQ(reliable_kernel_choice(), kernel);
-  }
 }
 
 }  // namespace

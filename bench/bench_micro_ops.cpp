@@ -178,14 +178,12 @@ struct LinearData {
   }
 };
 
-#ifdef HYBRIDCNN_ISA_SIMD
-
 void BM_LinearFastPathPacked(benchmark::State& state) {
   LinearData d;
   const auto pack = reliable::detail::build_linear_pack(
-      kLinOut, kLinIn, d.w.data(), d.b.data(), 0);
+      kLinOut, kLinIn, d.w.data(), d.b.data());
   for (auto _ : state) {
-    reliable::detail::linear_raw_compute_packed(pack, d.x.data(), d.y.data());
+    reliable::detail::linear_raw_compute(pack, d.x.data(), d.y.data());
     benchmark::DoNotOptimize(d.y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -197,13 +195,11 @@ void BM_LinearPackBuild(benchmark::State& state) {
   LinearData d;
   for (auto _ : state) {
     const auto pack = reliable::detail::build_linear_pack(
-        kLinOut, kLinIn, d.w.data(), d.b.data(), 0);
+        kLinOut, kLinIn, d.w.data(), d.b.data());
     benchmark::DoNotOptimize(pack.weights.data());
   }
 }
 BENCHMARK(BM_LinearPackBuild);
-
-#endif  // HYBRIDCNN_ISA_SIMD
 
 void BM_SaxWord(benchmark::State& state) {
   util::Rng rng(2);

@@ -15,10 +15,10 @@
 //
 // On top of that, the bench tracks the statically dispatched engine the
 // public forward() selects: per scheme it times the generic oracle, the
-// scalar fast path (SIMD kill-switch closed), and the SIMD fast path
-// (channel lanes) at 1/2/8 pool threads, checks bit-identity of outputs
-// and reports across every cell, and emits
-// bench_results/BENCH_reliable_conv.json — including the gap to the
+// scalar golden (reference_forward) and the SIMD fast path (channel
+// lanes) at 1/2/8 pool threads, checks bit-identity of outputs across
+// every cell (and of reports between the fast path and the oracle), and
+// emits bench_results/BENCH_reliable_conv.json — including the gap to the
 // unqualified im2col/GEMM conv on the same geometry — so the hot path's
 // perf trajectory is tracked across PRs like BENCH_batch_inference.json.
 // The legacy JSON fields (simd_images_per_sec, gap_vs_unqualified) stay
@@ -35,7 +35,6 @@
 #include "nn/conv2d.hpp"
 #include "reliable/executor.hpp"
 #include "reliable/reliable_conv.hpp"
-#include "reliable/static_dispatch.hpp"
 #include "runtime/compute_context.hpp"
 #include "runtime/isa.hpp"
 #include "runtime/workspace.hpp"
@@ -71,25 +70,28 @@ double time_generic(const reliable::ReliableConv2d& conv,
 /// number for the host.
 constexpr std::size_t kThreadAxis[] = {1, 2, 8};
 
-double time_dispatch(const reliable::ReliableConv2d& conv,
-                     const tensor::Tensor& input, const char* scheme,
-                     bool simd, std::size_t threads,
-                     reliable::ReliableResult* out) {
+/// Best of kFastReps runs of `run` on a `threads`-wide global pool.
+template <typename Run>
+double best_time(std::size_t threads, const Run& run) {
   const std::size_t prior_threads =
       runtime::ComputeContext::global().slot_count();
-  reliable::detail::set_reliable_simd_enabled(simd);
   runtime::ComputeContext::set_global_threads(threads);
-  const auto exec = reliable::make_executor(scheme, nullptr);
   double best = 0.0;
   for (int rep = 0; rep < kFastReps; ++rep) {
     util::Stopwatch sw;
-    *out = conv.forward(input, *exec);
+    run();
     const double t = sw.seconds();
     if (rep == 0 || t < best) best = t;
   }
   runtime::ComputeContext::set_global_threads(prior_threads);
-  reliable::detail::set_reliable_simd_enabled(true);
   return best;
+}
+
+double time_dispatch(const reliable::ReliableConv2d& conv,
+                     const tensor::Tensor& input, const char* scheme,
+                     std::size_t threads, reliable::ReliableResult* out) {
+  const auto exec = reliable::make_executor(scheme, nullptr);
+  return best_time(threads, [&] { *out = conv.forward(input, *exec); });
 }
 
 /// One pool-width cell of the per-scheme sweep.
@@ -221,28 +223,30 @@ int main() {
   std::vector<SchemeRow> rows;
   std::vector<reliable::ExecutionReport> reports;
   bool bit_identical = true;
+  // The scalar column times the scalar golden at 1 thread; it is
+  // scheme-independent, so one timing serves every row.
+  tensor::Tensor scalar_output;
+  const double scalar_s =
+      best_time(1, [&] { scalar_output = rconv.reference_forward(image); });
   for (const char* scheme : {"simplex", "dmr", "tmr"}) {
     SchemeRow row;
     row.scheme = scheme;
     row.unqualified_s = t_native;
     reliable::ReliableResult generic_result;
-    reliable::ReliableResult scalar_result;
     row.generic_s = time_generic(rconv, image, scheme, &generic_result);
-    row.scalar_s = time_dispatch(rconv, image, scheme, /*simd=*/false, 1,
-                                 &scalar_result);
-    bit_identical =
-        bit_identical &&
-        tensor::bit_identical(generic_result.output, scalar_result.output) &&
-        generic_result.report == scalar_result.report;
+    row.scalar_s = scalar_s;
+    bit_identical = bit_identical && tensor::bit_identical(
+                                         generic_result.output, scalar_output);
     reliable::ReliableResult simd_result;
     for (const std::size_t threads : kThreadAxis) {
       ThreadCell cell;
       cell.threads = threads;
-      cell.seconds = time_dispatch(rconv, image, scheme, /*simd=*/true,
-                                   threads, &simd_result);
+      cell.seconds =
+          time_dispatch(rconv, image, scheme, threads, &simd_result);
       bit_identical =
           bit_identical &&
           tensor::bit_identical(generic_result.output, simd_result.output) &&
+          tensor::bit_identical(scalar_output, simd_result.output) &&
           generic_result.report == simd_result.report;
       row.cells.push_back(cell);
       if (threads == 1) row.simd_s = cell.seconds;

@@ -295,11 +295,9 @@ std::vector<HybridClassification> HybridNetwork::classify_indexed(
     std::uint64_t seed_base, const std::uint64_t* seeds) const {
   if (count == 0) return {};
 
-  // One reliable kernel (weight copy) for the whole batch; the fault-free
-  // fast path's weight pack is built once here rather than under the
-  // pack mutex inside the first concurrent forward.
+  // One reliable kernel (weight copy and fast-path pack) for the whole
+  // batch, shared read-only by every image.
   const reliable::ReliableConv2d rconv = make_reliable_conv1();
-  rconv.prepare_fast_path();
   const auto seed_of = [&](std::size_t i) {
     return seeds != nullptr ? seeds[i] : seed_base + i;
   };

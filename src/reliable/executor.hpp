@@ -30,13 +30,8 @@
 #include "reliable/qualified.hpp"
 #include "util/contracts.hpp"
 
-#if defined(__GNUC__) || defined(__clang__)
 #define HYBRIDCNN_RELIABLE_ALWAYS_INLINE inline __attribute__((always_inline))
 #define HYBRIDCNN_RELIABLE_NOINLINE __attribute__((noinline))
-#else
-#define HYBRIDCNN_RELIABLE_ALWAYS_INLINE inline
-#define HYBRIDCNN_RELIABLE_NOINLINE
-#endif
 
 namespace hybridcnn::reliable {
 

@@ -35,6 +35,10 @@ ReliableConv2d::ReliableConv2d(tensor::Tensor weights, tensor::Tensor bias,
   if (spec_.stride == 0) {
     throw std::invalid_argument("ReliableConv2d: stride must be >= 1");
   }
+  const tensor::Shape& w_shape = weights_.shape();
+  pack_ = std::make_shared<const detail::WeightPack>(detail::build_weight_pack(
+      w_shape[0], w_shape[1], w_shape[2], w_shape[3], weights_.data().data(),
+      bias_.data().data()));
 }
 
 tensor::Shape ReliableConv2d::output_shape(const tensor::Shape& in) const {
@@ -57,35 +61,6 @@ tensor::Shape ReliableConv2d::output_shape(const tensor::Shape& in) const {
   const std::size_t oh = (padded_h - kh) / spec_.stride + 1;
   const std::size_t ow = (padded_w - kw) / spec_.stride + 1;
   return tensor::Shape{weights_.shape()[0], oh, ow};
-}
-
-void ReliableConv2d::set_weights(tensor::Tensor weights) {
-  if (!(weights.shape() == weights_.shape())) {
-    throw std::invalid_argument(
-        "ReliableConv2d::set_weights: shape mismatch, expected " +
-        weights_.shape().str() + " got " + weights.shape().str());
-  }
-  weights_ = std::move(weights);
-  ++weight_generation_;
-}
-
-std::shared_ptr<const detail::WeightPack> ReliableConv2d::channel_pack()
-    const {
-#ifdef HYBRIDCNN_ISA_SIMD
-  std::lock_guard<std::mutex> lock(pack_mutex_);
-  if (!pack_ || pack_->generation != weight_generation_) {
-    pack_ = std::make_shared<const detail::WeightPack>(
-        detail::build_weight_pack(weights_.shape()[0], weights_.shape()[1],
-                                  weights_.shape()[2], weights_.shape()[3],
-                                  weights_.data().data(),
-                                  bias_.data().data(), weight_generation_));
-  }
-  return pack_;
-#else
-  // Only the SIMD channel kernel consumes the pack; building one on
-  // scalar targets would be dead weight.
-  return nullptr;
-#endif
 }
 
 std::uint64_t ReliableConv2d::mac_count(const tensor::Shape& in) const {
@@ -123,12 +98,9 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
   if (exec.guaranteed_fault_free()) {
     // Golden fast path: no operation can fail, so the qualified schedule
     // collapses to raw arithmetic in the identical order (vectorized
-    // across output channels where the target allows, fanned across the
-    // pool); the per-op bookkeeping is credited in closed
-    // form after the join.
-    const auto pack = channel_pack();
-    detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
-                             result.output.data().data());
+    // across output channels, fanned across the pool); the per-op
+    // bookkeeping is credited in closed form after the join.
+    detail::conv_raw_compute(plan, *pack_, in, result.output.data().data());
     const std::uint64_t ops = 2 * plan.macs();  // mul + accumulate per MAC
     result.report.logical_ops = ops;
     result.report.commits = ops;
@@ -272,11 +244,19 @@ tensor::Tensor ReliableConv2d::reference_forward(
   const detail::ConvPlan plan(out_shape, input.shape(), weights_.shape(),
                               spec_.stride, spec_.pad);
   tensor::Tensor out(out_shape);
-  // Same operation order as forward() so results are bit-identical.
-  const auto pack = channel_pack();
-  detail::conv_raw_compute(plan, pack.get(), input.data().data(),
-                           weights_.data().data(), bias_.data().data(),
-                           out.data().data());
+  // The scalar per-pixel reduction over the OIHW weights, one output
+  // channel per pool unit: forward()'s operation order without its
+  // channel-lane kernel or pack, so it is an independent golden.
+  const float* in = input.data().data();
+  const float* wgt = weights_.data().data();
+  const float* b = bias_.data().data();
+  float* o_ptr = out.data().data();
+  runtime::ComputeContext::global().pool().parallel_for_chunks(
+      0, plan.out_c, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t o = begin; o < end; ++o) {
+          detail::conv_scalar_channel(plan, in, wgt, b[o], o, o_ptr);
+        }
+      });
   return out;
 }
 
@@ -406,8 +386,7 @@ ReliableResult LayerDmrConv2d::forward(const tensor::Tensor& input,
     report.scheme = "layer-dmr(" + exec.name() + ")";
     LeakyBucket bucket(inner_.policy().bucket_factor,
                        inner_.policy().bucket_ceiling);
-    const auto pack = inner_.channel_pack();
-    detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
+    detail::conv_raw_compute(plan, inner_.channel_pack(), in,
                              result.output.data().data());
     const std::uint64_t ops = 2 * (2 * plan.macs());  // two layer passes
     report.logical_ops = ops;

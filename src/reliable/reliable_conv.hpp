@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 
 #include "reliable/executor.hpp"
 #include "reliable/leaky_bucket.hpp"
@@ -56,11 +55,14 @@ struct ReliableResult {
 /// Reliably executed convolution layer (Algorithm 3 generalised from one
 /// convolution operation to a full layer). Weights are OIHW, bias is O,
 /// input and output are CHW (single image — the hybrid pipeline operates
-/// per frame).
+/// per frame). Immutable: the fault-free fast path's channel-lane weight
+/// pack is built once in the constructor, so a const layer is safe to
+/// share across threads and copies share one pack.
 class ReliableConv2d {
  public:
-  /// Constructs from weights [out_c, in_c, kh, kw] and bias [out_c].
-  /// Throws std::invalid_argument on inconsistent shapes.
+  /// Constructs from weights [out_c, in_c, kh, kw] and bias [out_c] and
+  /// builds the channel-lane pack. Throws std::invalid_argument on
+  /// inconsistent shapes.
   ReliableConv2d(tensor::Tensor weights, tensor::Tensor bias, ConvSpec spec,
                  ReliabilityPolicy policy = {});
 
@@ -71,8 +73,8 @@ class ReliableConv2d {
   ///
   /// Dispatches once per call on the executor's scheme and injector
   /// state: the three library schemes run a devirtualized inner kernel
-  /// (with a raw-arithmetic fast path — SIMD channel lanes where the
-  /// target supports them — when the executor is
+  /// (with a raw-arithmetic fast path — SIMD channel lanes over the
+  /// constructor-built pack — when the executor is
   /// guaranteed_fault_free()); custom executors fall back to
   /// forward_generic(). Outputs, reports, executor stats and injector
   /// state are bit-identical across the paths — the contract
@@ -90,7 +92,9 @@ class ReliableConv2d {
                                                Executor& exec) const;
 
   /// Golden reference: plain non-instrumented convolution (fault-free
-  /// scalar arithmetic, same loop order so results are bit-comparable).
+  /// scalar arithmetic, same per-output reduction order so results are
+  /// bit-comparable), independent of the SIMD fast path. Output channels
+  /// fan out across the global pool.
   [[nodiscard]] tensor::Tensor reference_forward(
       const tensor::Tensor& input) const;
 
@@ -109,40 +113,19 @@ class ReliableConv2d {
   /// Logical multiply-accumulate count for one forward on `in` shape.
   [[nodiscard]] std::uint64_t mac_count(const tensor::Shape& in) const;
 
-  /// Replaces the layer's weights (shape must match; throws
-  /// std::invalid_argument otherwise) and bumps the weight generation,
-  /// invalidating the cached channel-lane weight pack. Not safe against
-  /// concurrent forwards — like mutating any layer parameter, it is a
-  /// setup-time operation.
-  void set_weights(tensor::Tensor weights);
-
-  /// Monotonic counter of weight replacements; the channel-lane pack is
-  /// keyed on it.
-  [[nodiscard]] std::uint64_t weight_generation() const noexcept {
-    return weight_generation_;
+  /// The channel-lane repacked weights the fault-free fast path runs on.
+  /// Engine-internal; exposed for layer-granular wrappers
+  /// (LayerDmrConv2d runs its inner kernel's pack).
+  [[nodiscard]] const detail::WeightPack& channel_pack() const noexcept {
+    return *pack_;
   }
-
-  /// The channel-lane repacked weights for the fault-free fast path,
-  /// built lazily (thread-safe) and cached until the weight generation
-  /// changes. Null on targets without vectors — only the SIMD channel
-  /// kernel consumes it. Engine-internal; exposed for the dispatch tests
-  /// and layer-granular wrappers.
-  [[nodiscard]] std::shared_ptr<const detail::WeightPack> channel_pack()
-      const;
-
-  /// Pre-builds the cached pack so batch/campaign paths pay the repack
-  /// once up front instead of contending on first concurrent use. Call
-  /// it before fanning forward() out with faultsim::run_campaign.
-  void prepare_fast_path() const { (void)channel_pack(); }
 
  private:
   tensor::Tensor weights_;  // OIHW
   tensor::Tensor bias_;     // O
   ConvSpec spec_;
   ReliabilityPolicy policy_;
-  std::uint64_t weight_generation_ = 0;
-  mutable std::mutex pack_mutex_;
-  mutable std::shared_ptr<const detail::WeightPack> pack_;
+  std::shared_ptr<const detail::WeightPack> pack_;  // never null
 };
 
 /// Layer-granular DMR: runs the whole (unqualified) layer twice through

@@ -30,32 +30,9 @@ ReliableLinear::ReliableLinear(tensor::Tensor weights, tensor::Tensor bias,
   if (bias_.shape().rank() != 1 || bias_.shape()[0] != weights_.shape()[0]) {
     throw std::invalid_argument("ReliableLinear: bias must be [out]");
   }
-}
-
-void ReliableLinear::set_weights(tensor::Tensor weights) {
-  if (!(weights.shape() == weights_.shape())) {
-    throw std::invalid_argument(
-        "ReliableLinear::set_weights: shape mismatch, expected " +
-        weights_.shape().str() + " got " + weights.shape().str());
-  }
-  weights_ = std::move(weights);
-  ++weight_generation_;
-}
-
-std::shared_ptr<const detail::LinearWeightPack> ReliableLinear::neuron_pack()
-    const {
-#ifdef HYBRIDCNN_ISA_SIMD
-  std::lock_guard<std::mutex> lock(pack_mutex_);
-  if (!pack_ || pack_->generation != weight_generation_) {
-    pack_ = std::make_shared<const detail::LinearWeightPack>(
-        detail::build_linear_pack(weights_.shape()[0], weights_.shape()[1],
-                                  weights_.data().data(),
-                                  bias_.data().data(), weight_generation_));
-  }
-  return pack_;
-#else
-  return nullptr;
-#endif
+  pack_ = std::make_shared<const detail::LinearWeightPack>(
+      detail::build_linear_pack(weights_.shape()[0], weights_.shape()[1],
+                                weights_.data().data(), bias_.data().data()));
 }
 
 ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
@@ -76,9 +53,7 @@ ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
   const float* b = bias_.data().data();
 
   if (exec.guaranteed_fault_free()) {
-    const auto pack = neuron_pack();
-    detail::linear_raw_compute(out_n, in_n, pack.get(), in, wgt, b,
-                               result.output.data().data());
+    detail::linear_raw_compute(*pack_, in, result.output.data().data());
     const std::uint64_t ops = 2 * static_cast<std::uint64_t>(out_n) * in_n;
     result.report.logical_ops = ops;
     result.report.commits = ops;
@@ -173,10 +148,9 @@ tensor::Tensor ReliableLinear::reference_forward(
   const std::size_t in_n = weights_.shape()[1];
   validate_linear_input(input, in_n);
   tensor::Tensor out(tensor::Shape{out_n});
-  const auto pack = neuron_pack();
-  detail::linear_raw_compute(out_n, in_n, pack.get(), input.data().data(),
-                             weights_.data().data(), bias_.data().data(),
-                             out.data().data());
+  detail::linear_raw_compute_scalar(out_n, in_n, input.data().data(),
+                                    weights_.data().data(),
+                                    bias_.data().data(), out.data().data());
   return out;
 }
 

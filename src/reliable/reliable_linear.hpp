@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 
 #include "reliable/executor.hpp"
 #include "reliable/leaky_bucket.hpp"
@@ -25,6 +24,8 @@ struct LinearWeightPack;
 
 /// Qualified dense layer: y = W x + b with every scalar operation executed
 /// through an overloaded executor, single-op rollback and a leaky bucket.
+/// Immutable like ReliableConv2d: the neuron-lane pack is built once in
+/// the constructor.
 class ReliableLinear {
  public:
   /// Weights [out, in], bias [out]. Throws std::invalid_argument on
@@ -44,7 +45,8 @@ class ReliableLinear {
   [[nodiscard]] ReliableResult forward_generic(const tensor::Tensor& input,
                                                Executor& exec) const;
 
-  /// Golden reference with identical operation order.
+  /// Golden reference with identical operation order: the scalar
+  /// reduction, independent of the neuron-lane fast path.
   [[nodiscard]] tensor::Tensor reference_forward(
       const tensor::Tensor& input) const;
 
@@ -53,31 +55,17 @@ class ReliableLinear {
   }
   [[nodiscard]] const tensor::Tensor& bias() const noexcept { return bias_; }
 
-  /// Replaces the layer's weights (shape must match; throws
-  /// std::invalid_argument otherwise) and bumps the weight generation,
-  /// invalidating the cached neuron-lane pack. Setup-time only.
-  void set_weights(tensor::Tensor weights);
-
-  [[nodiscard]] std::uint64_t weight_generation() const noexcept {
-    return weight_generation_;
+  /// Neuron-lane repacked weights the fault-free fast path runs on; see
+  /// ReliableConv2d::channel_pack().
+  [[nodiscard]] const detail::LinearWeightPack& neuron_pack() const noexcept {
+    return *pack_;
   }
-
-  /// Neuron-lane repacked weights for the fault-free fast path; same
-  /// lifetime/caching contract as ReliableConv2d::channel_pack(). Null
-  /// on targets without vectors.
-  [[nodiscard]] std::shared_ptr<const detail::LinearWeightPack>
-  neuron_pack() const;
-
-  /// Pre-builds the cached pack (see ReliableConv2d::prepare_fast_path).
-  void prepare_fast_path() const { (void)neuron_pack(); }
 
  private:
   tensor::Tensor weights_;  // [out, in]
   tensor::Tensor bias_;     // [out]
   ReliabilityPolicy policy_;
-  std::uint64_t weight_generation_ = 0;
-  mutable std::mutex pack_mutex_;
-  mutable std::shared_ptr<const detail::LinearWeightPack> pack_;
+  std::shared_ptr<const detail::LinearWeightPack> pack_;  // never null
 };
 
 }  // namespace hybridcnn::reliable

@@ -21,25 +21,23 @@
 //   * conv_raw_compute / linear_raw_compute — the fault-free fast path:
 //     raw arithmetic in the identical operation order, used when the
 //     executor is guaranteed_fault_free(); callers then credit the
-//     elided bookkeeping in closed form (credit_fault_free_ops). On
-//     SIMD-capable targets (runtime/isa.hpp) the conv path runs channel
-//     lanes (conv_channel_pixels): kFloatLanes output channels per
-//     vector over a once-per-weight-generation repacked [ky][kx][c][o]
-//     WeightPack, so every tap is one contiguous weight vector load
-//     times a scalar input broadcast. It vectorizes across *independent
-//     outputs* — never the (c, ky, kx) reduction — so bit-identity with
-//     the scalar loop holds by construction. All lanes of a vector share
-//     (oy, ox) and therefore the tap ranges, so borders run through the
-//     same kernel — no interior/border split; the padded channel tail
-//     scatters only its valid lanes. The dense path applies the same
-//     idea across output neurons. The fault-free fast path additionally
-//     fans its disjoint output slices across the global
-//     runtime::ThreadPool ((channel-block group, row) units, or whole
-//     channels for the scalar loop); the elided bookkeeping is credited
-//     in closed form after the join, so outputs and statistics are
-//     bit-identical at every thread count. The runtime kill-switch
-//     HYBRIDCNN_RELIABLE_SIMD=0 (or set_reliable_simd_enabled(false))
-//     forces the scalar fast path for debugging and A/B benching.
+//     elided bookkeeping in closed form (credit_fault_free_ops). The
+//     conv path runs channel lanes (conv_channel_pixels): kFloatLanes
+//     output channels per vector (runtime/isa.hpp) over a [ky][kx][c][o]
+//     WeightPack the owning layer builds once at construction, so every
+//     tap is one contiguous weight vector load times a scalar input
+//     broadcast. It vectorizes across *independent outputs* — never the
+//     (c, ky, kx) reduction — so bit-identity with the scalar loop
+//     (conv_scalar_channel, the body of reference_forward) holds by
+//     construction. All lanes of a vector share (oy, ox) and therefore
+//     the tap ranges, so borders run through the same kernel — no
+//     interior/border split; the padded channel tail scatters only its
+//     valid lanes. The dense path applies the same idea across output
+//     neurons. The conv fast path additionally fans its disjoint
+//     (channel-block group, row) units across the global
+//     runtime::ThreadPool; the elided bookkeeping is credited in closed
+//     form after the join, so outputs and statistics are bit-identical
+//     at every thread count.
 //
 // Bit-identity contract: for every (input, executor, injector-seed), a
 // specialized kernel must produce the same output bits, the same
@@ -69,15 +67,10 @@
 
 namespace hybridcnn::reliable::detail {
 
-/// Whether the fault-free fast path may use the vectorized kernels.
-/// Initialised once from the environment (HYBRIDCNN_RELIABLE_SIMD=0
-/// disables; anything else — including unset — enables); tests and
-/// benches flip it at runtime for A/B comparisons. On targets without
-/// HYBRIDCNN_ISA_SIMD the flag is ignored — only the scalar path exists.
-[[nodiscard]] bool reliable_simd_enabled() noexcept;
-void set_reliable_simd_enabled(bool enabled) noexcept;
+// These three are kept only for perfbench's host block; remove them in
+// the next benchmark change.
+[[nodiscard]] constexpr bool reliable_simd_enabled() noexcept { return true; }
 
-// kept for perfbench's host block; remove in the next benchmark PR
 enum class ConvKernel : std::uint8_t { kAuto, kPixel, kChannel };
 
 [[nodiscard]] constexpr ConvKernel reliable_kernel_choice() noexcept {
@@ -240,14 +233,10 @@ struct ConvPlan {
   }
 };
 
-/// Output-channel extent rounded up to the vector width (identity on
-/// targets without vectors), the lane padding the channel-lane pack uses.
+/// Output-channel extent rounded up to the vector width, the lane
+/// padding the channel-lane pack uses.
 inline constexpr std::size_t channel_pack_width(std::size_t oc) noexcept {
-#ifdef HYBRIDCNN_ISA_SIMD
   constexpr std::size_t lanes = runtime::isa::kFloatLanes;
-#else
-  constexpr std::size_t lanes = 1;
-#endif
   return (oc + lanes - 1) / lanes * lanes;
 }
 
@@ -274,9 +263,8 @@ HYBRIDCNN_CONTRACT(channel_pack_width(96) % runtime::isa::kFloatLanes == 0 &&
 /// channel block is one contiguous vector load. Padding lanes carry zero
 /// weights/bias and are never stored back, so they cannot perturb
 /// outputs. The pack is input-shape independent — one pack serves every
-/// forward geometry — and is built once per weight generation: owners
-/// (ReliableConv2d) cache it and compare `generation` against their
-/// current weight generation to invalidate.
+/// forward geometry — and the owning ReliableConv2d builds it once in its
+/// constructor; the layer is immutable, so the pack never goes stale.
 struct WeightPack {
   std::vector<float> weights;  ///< [(ky*kw + kx)*in_c + c][padded_oc]
   std::vector<float> bias;     ///< [padded_oc], zero beyond oc
@@ -285,20 +273,17 @@ struct WeightPack {
   std::size_t in_c = 0;
   std::size_t kh = 0;
   std::size_t kw = 0;
-  std::uint64_t generation = 0;  ///< weight generation the pack reflects
 };
 
 inline WeightPack build_weight_pack(std::size_t oc, std::size_t in_c,
                                     std::size_t kh, std::size_t kw,
-                                    const float* weights, const float* bias,
-                                    std::uint64_t generation) {
+                                    const float* weights, const float* bias) {
   WeightPack pack;
   pack.oc = oc;
   pack.padded_oc = channel_pack_width(oc);
   pack.in_c = in_c;
   pack.kh = kh;
   pack.kw = kw;
-  pack.generation = generation;
   pack.weights.assign(kh * kw * in_c * pack.padded_oc, 0.0f);
   pack.bias.assign(pack.padded_oc, 0.0f);
   for (std::size_t o = 0; o < oc; ++o) {
@@ -404,8 +389,8 @@ void conv_forward_qualified(const ConvPlan& plan, const float* input,
 
 /// Every fault-free output pixel of one output channel, scalar form —
 /// the per-pixel reduction every path (SIMD lane, generic oracle) must
-/// reproduce bit for bit, and the per-channel unit the pooled scalar
-/// fan-out executes.
+/// reproduce bit for bit, and the per-channel unit of
+/// ReliableConv2d::reference_forward's pooled fan-out.
 inline void conv_scalar_channel(const ConvPlan& plan, const float* input,
                                 const float* weights, float b, std::size_t o,
                                 float* out) noexcept {
@@ -431,8 +416,6 @@ inline void conv_scalar_channel(const ConvPlan& plan, const float* input,
     }
   }
 }
-
-#ifdef HYBRIDCNN_ISA_SIMD
 
 /// Channel blocks (of kFloatLanes output channels each) processed
 /// together per output-pixel pass. Each block keeps its own accumulator
@@ -563,50 +546,27 @@ inline void conv_channel_unit(const ConvPlan& plan, const WeightPack& pack,
   }
 }
 
-#endif  // HYBRIDCNN_ISA_SIMD
-
 /// Fault-free convolution fast path: channel lanes over the repacked
-/// weights on SIMD targets with the kill-switch open, the scalar loop
-/// otherwise. Fans the disjoint output slices across the global pool —
-/// (block group, output row) units for channel lanes, whole channels for
-/// the scalar loop. Every output element is computed by exactly one unit
-/// in the scalar per-pixel reduction order, and the elided qualified
+/// weights, fanned across the global pool in (block group, output row)
+/// units. Every output element is computed by exactly one unit in the
+/// scalar per-pixel reduction order, and the elided qualified
 /// bookkeeping is credited in closed form by the caller after the join,
 /// so outputs and statistics are bit-identical at every thread count.
 /// Inside an outer parallel region (batched classify, campaign fan-out)
-/// the pool serialises the nested fan inline. Precondition on SIMD
-/// targets: `pack` is non-null (ReliableConv2d::channel_pack() always
-/// builds one there).
-inline void conv_raw_compute(const ConvPlan& plan, const WeightPack* pack,
-                             const float* input, const float* weights,
-                             const float* bias, float* out) {
-  runtime::ThreadPool& pool = runtime::ComputeContext::global().pool();
-#ifdef HYBRIDCNN_ISA_SIMD
-  if (reliable_simd_enabled()) {
-    assert(pack != nullptr && "conv_raw_compute: SIMD path needs a pack");
-    // Units are (block group, output row): the block grouping — and with
-    // it every kernel instantiation — is fixed by the pack alone, so
-    // chunk boundaries only decide which thread runs a unit, and rows
-    // give the fan enough units even when the channel extent is a single
-    // group.
-    const std::size_t groups = channel_group_count(*pack);
-    pool.parallel_for_chunks(
-        0, groups * plan.out_h, 1,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t u = begin; u < end; ++u) {
-            conv_channel_unit(plan, *pack, input, u / plan.out_h,
-                              u % plan.out_h, out);
-          }
-        });
-    return;
-  }
-#else
-  (void)pack;
-#endif
-  pool.parallel_for_chunks(
-      0, plan.out_c, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t o = begin; o < end; ++o) {
-          conv_scalar_channel(plan, input, weights, bias[o], o, out);
+/// the pool serialises the nested fan inline.
+inline void conv_raw_compute(const ConvPlan& plan, const WeightPack& pack,
+                             const float* input, float* out) {
+  // The block grouping — and with it every kernel instantiation — is
+  // fixed by the pack alone, so chunk boundaries only decide which thread
+  // runs a unit, and rows give the fan enough units even when the channel
+  // extent is a single group.
+  const std::size_t groups = channel_group_count(pack);
+  runtime::ComputeContext::global().pool().parallel_for_chunks(
+      0, groups * plan.out_h, 1,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t u = begin; u < end; ++u) {
+          conv_channel_unit(plan, pack, input, u / plan.out_h,
+                            u % plan.out_h, out);
         }
       });
 }
@@ -705,9 +665,9 @@ void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
   report.bucket_exhausted = bucket.exhausted();
 }
 
-/// Fault-free dense fast path, scalar form: same operation order as the
-/// qualified kernel. Runs on targets without vectors and behind the
-/// HYBRIDCNN_RELIABLE_SIMD=0 kill-switch.
+/// Fault-free dense reduction, scalar form: same operation order as the
+/// qualified kernel. The body of ReliableLinear::reference_forward, the
+/// golden the neuron-lane fast path is diffed against.
 inline void linear_raw_compute_scalar(std::size_t out_n, std::size_t in_n,
                                       const float* input,
                                       const float* weights, const float* bias,
@@ -725,26 +685,23 @@ inline void linear_raw_compute_scalar(std::size_t out_n, std::size_t in_n,
 /// Neuron-lane weight layout for the dense fast path: [out, in] weights
 /// transposed into [in][padded_out] rows so each input step issues
 /// contiguous weight-vector loads across adjacent output neurons instead
-/// of lane-by-lane strided reads. Same lifetime rule
-/// as the conv WeightPack: cached by the owner, keyed on `generation`.
+/// of lane-by-lane strided reads. Same lifetime rule as the conv
+/// WeightPack: built once by the owning ReliableLinear's constructor.
 struct LinearWeightPack {
   std::vector<float> weights;  ///< [in][padded_out]
   std::vector<float> bias;     ///< [padded_out], zero beyond out_n
   std::size_t out_n = 0;
   std::size_t padded_out = 0;
   std::size_t in_n = 0;
-  std::uint64_t generation = 0;
 };
 
 inline LinearWeightPack build_linear_pack(std::size_t out_n, std::size_t in_n,
                                           const float* weights,
-                                          const float* bias,
-                                          std::uint64_t generation) {
+                                          const float* bias) {
   LinearWeightPack pack;
   pack.out_n = out_n;
   pack.padded_out = channel_pack_width(out_n);
   pack.in_n = in_n;
-  pack.generation = generation;
   pack.weights.assign(in_n * pack.padded_out, 0.0f);
   pack.bias.assign(pack.padded_out, 0.0f);
   for (std::size_t o = 0; o < out_n; ++o) {
@@ -756,18 +713,15 @@ inline LinearWeightPack build_linear_pack(std::size_t out_n, std::size_t in_n,
   return pack;
 }
 
-#ifdef HYBRIDCNN_ISA_SIMD
-
-/// Vectorized fault-free dense fast path, packed form: the channel-lane
-/// idea applied to the dense layer. Lane l of block b accumulates neuron
-/// b*lanes + l; every input element is one broadcast against contiguous
-/// weight vectors, blocks grouped like the conv channel blocks. Adjacent
-/// lanes are adjacent output neurons, so full blocks store straight to
-/// the output; only the padded tail block scatters its valid lanes. Per
-/// lane the reduction is the exact scalar index order.
-inline void linear_raw_compute_packed(const LinearWeightPack& pack,
-                                      const float* input,
-                                      float* out) noexcept {
+/// Fault-free dense fast path: the channel-lane idea applied to the dense
+/// layer. Lane l of block b accumulates neuron b*lanes + l; every input
+/// element is one broadcast against contiguous weight vectors, blocks
+/// grouped like the conv channel blocks. Adjacent lanes are adjacent
+/// output neurons, so full blocks store straight to the output; only the
+/// padded tail block scatters its valid lanes. Per lane the reduction is
+/// the exact scalar index order.
+inline void linear_raw_compute(const LinearWeightPack& pack,
+                               const float* input, float* out) noexcept {
   namespace isa = runtime::isa;
   constexpr std::size_t kLanes = isa::kFloatLanes;
   const std::size_t blocks = pack.padded_out / kLanes;
@@ -814,28 +768,6 @@ inline void linear_raw_compute_packed(const LinearWeightPack& pack,
     }
     blk += group;
   }
-}
-
-#endif  // HYBRIDCNN_ISA_SIMD
-
-/// Fault-free dense fast path: the packed neuron-lane kernel on SIMD
-/// targets with the kill-switch open, scalar otherwise. Precondition on
-/// SIMD targets: `pack` is non-null (ReliableLinear::neuron_pack()
-/// always builds one there).
-inline void linear_raw_compute(std::size_t out_n, std::size_t in_n,
-                               const LinearWeightPack* pack,
-                               const float* input, const float* weights,
-                               const float* bias, float* out) noexcept {
-#ifdef HYBRIDCNN_ISA_SIMD
-  if (reliable_simd_enabled()) {
-    assert(pack != nullptr && "linear_raw_compute: SIMD path needs a pack");
-    linear_raw_compute_packed(*pack, input, out);
-    return;
-  }
-#else
-  (void)pack;
-#endif
-  linear_raw_compute_scalar(out_n, in_n, input, weights, bias, out);
 }
 
 }  // namespace hybridcnn::reliable::detail

@@ -1,10 +1,11 @@
 // Shared ISA selection for hand-vectorized kernels.
 //
 // One compile-time ladder picks the widest float vector the target
-// supports — AVX-512 (16 lanes), AVX (8), any other GCC/clang target
-// (4, via 128-bit vectors: SSE/NEON), or no vectors at all — using
-// GCC/clang vector extensions, which compile to plain SIMD without
-// intrinsics. Both explicit-SIMD consumers sit on this header:
+// supports — AVX-512 (16 lanes), AVX (8) or any other target (4, via
+// 128-bit vectors: SSE/NEON) — using GCC/Clang vector extensions, which
+// compile to plain SIMD without intrinsics. The build is GCC/Clang-only
+// (the bit-identity contract rests on -ffp-contract=off), so there is no
+// scalar tier. Both explicit-SIMD consumers sit on this header:
 //
 //   * nn/gemm.cpp — the blocked GEMM micro-kernel sizes its register
 //     tile from kFloatLanes (the accumulator block must fill but not
@@ -13,36 +14,30 @@
 //     vectorize across independent output channels in kFloatLanes-wide
 //     blocks (channel-axis lanes, never the reduction axis, so every
 //     lane reproduces the scalar operation order bit for bit).
-//
-// When HYBRIDCNN_ISA_SIMD is not defined (non-GNU compilers), VecF and
-// the load/store helpers do not exist; consumers must provide a scalar
-// fallback path behind the same macro.
 #pragma once
 
 #include <cstddef>
 
 #include "util/contracts.hpp"
 
+#if !defined(__GNUC__)
+#error "hybridcnn requires GCC or Clang (GNU vector extensions)"
+#endif
+
 namespace hybridcnn::runtime::isa {
 
-#if defined(__GNUC__) && defined(__AVX512F__)
-#define HYBRIDCNN_ISA_SIMD 1
+#if defined(__AVX512F__)
 inline constexpr std::size_t kFloatLanes = 16;  // one zmm
 typedef float VecF __attribute__((vector_size(64)));
 inline constexpr const char* kIsaName = "avx512";
-#elif defined(__GNUC__) && defined(__AVX__)
-#define HYBRIDCNN_ISA_SIMD 1
+#elif defined(__AVX__)
 inline constexpr std::size_t kFloatLanes = 8;  // one ymm
 typedef float VecF __attribute__((vector_size(32)));
 inline constexpr const char* kIsaName = "avx";
-#elif defined(__GNUC__)
-#define HYBRIDCNN_ISA_SIMD 1
+#else
 inline constexpr std::size_t kFloatLanes = 4;  // one xmm / NEON quad
 typedef float VecF __attribute__((vector_size(16)));
 inline constexpr const char* kIsaName = "vec128";
-#else
-inline constexpr std::size_t kFloatLanes = 1;
-inline constexpr const char* kIsaName = "scalar";
 #endif
 
 // Lane-width contracts every SIMD consumer leans on: the lane-padded
@@ -52,13 +47,9 @@ inline constexpr const char* kIsaName = "scalar";
 HYBRIDCNN_CONTRACT(util::contracts::is_pow2(kFloatLanes),
                    "kFloatLanes must be a power of two: pack paddings and "
                    "tail masks round with power-of-two arithmetic");
-#ifdef HYBRIDCNN_ISA_SIMD
 HYBRIDCNN_CONTRACT(sizeof(VecF) == kFloatLanes * sizeof(float),
                    "VecF must hold exactly kFloatLanes floats: loadu/storeu "
                    "move sizeof(VecF) bytes and kernels step kFloatLanes");
-#endif
-
-#ifdef HYBRIDCNN_ISA_SIMD
 
 /// All lanes set to `x`. The scalar-vector binop broadcasts in one
 /// instruction; subtracting the zero vector is an exact IEEE identity
@@ -78,7 +69,5 @@ inline VecF loadu(const float* p) noexcept {
 inline void storeu(float* p, const VecF& v) noexcept {
   __builtin_memcpy(p, &v, sizeof(VecF));
 }
-
-#endif  // HYBRIDCNN_ISA_SIMD
 
 }  // namespace hybridcnn::runtime::isa

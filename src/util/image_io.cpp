@@ -37,27 +37,4 @@ void write_ppm(const std::string& path, const RgbImage& img) {
   require(static_cast<bool>(out), "write_ppm: write failed for " + path);
 }
 
-GrayImage read_pgm(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  require(static_cast<bool>(in), "read_pgm: cannot open " + path);
-  std::string magic;
-  in >> magic;
-  require(magic == "P5", "read_pgm: not a binary PGM: " + path);
-  int width = 0;
-  int height = 0;
-  int maxval = 0;
-  in >> width >> height >> maxval;
-  require(width > 0 && height > 0 && maxval == 255,
-          "read_pgm: unsupported header in " + path);
-  in.get();  // single whitespace after header
-  GrayImage img;
-  img.width = width;
-  img.height = height;
-  img.pixels.resize(static_cast<std::size_t>(width) * height);
-  in.read(reinterpret_cast<char*>(img.pixels.data()),
-          static_cast<std::streamsize>(img.pixels.size()));
-  require(static_cast<bool>(in), "read_pgm: truncated file " + path);
-  return img;
-}
-
 }  // namespace hybridcnn::util

@@ -35,7 +35,4 @@ void write_pgm(const std::string& path, const GrayImage& img);
 /// Writes a binary PPM (P6). Throws std::runtime_error on IO failure.
 void write_ppm(const std::string& path, const RgbImage& img);
 
-/// Reads a binary PGM (P5). Throws std::runtime_error on parse failure.
-GrayImage read_pgm(const std::string& path);
-
 }  // namespace hybridcnn::util

@@ -26,7 +26,7 @@ tensor::Tensor edge_magnitude(const tensor::Tensor& chw) {
   return sobel_magnitude(to_gray(chw));
 }
 
-BinaryMask dominant_shape(const tensor::Tensor& chw, double min_fraction) {
+BinaryMask dominant_shape(const tensor::Tensor& chw) {
   const auto& sh = chw.shape();
   if (sh.rank() != 3 || (sh[0] != 3 && sh[0] != 1)) {
     throw std::invalid_argument("dominant_shape: expected [3|1, H, W]");
@@ -63,9 +63,7 @@ BinaryMask dominant_shape(const tensor::Tensor& chw, double min_fraction) {
     }
     dist[p] = static_cast<float>(std::sqrt(acc));
   }
-  const BinaryMask candidate = largest_component(threshold_otsu(dist));
-  (void)min_fraction;
-  return candidate;
+  return largest_component(threshold_otsu(dist));
 }
 
 void mask_from_feature_map(std::span<const float> feature_map, std::size_t h,

@@ -1,15 +1,17 @@
 // SIMD fast-path bit-identity contract: the channel-lane vectorized
 // fault-free kernels (reliable/static_dispatch.hpp over runtime/isa.hpp)
-// must produce the same output bits, reports and executor/injector state
-// as the scalar fast path (kill-switch closed) and the generic
-// virtual-dispatch oracle — across schemes, border/partial-block/
-// multi-block geometries, stride variants and thread counts. Armed
+// must produce the same output bits as the scalar golden
+// (reference_forward) and the same output bits, reports and
+// executor/injector state as the generic virtual-dispatch oracle —
+// across schemes, border/partial-block/multi-block geometries, stride
+// variants, a seeded random-geometry sweep and thread counts. Armed
 // injectors must bypass the vector path entirely (it exists only where no
 // fault can be injected), which the faulty cases here pin down.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
-#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "faultsim/bitflip.hpp"
@@ -18,7 +20,6 @@
 #include "reliable/executor.hpp"
 #include "reliable/reliable_conv.hpp"
 #include "reliable/reliable_linear.hpp"
-#include "reliable/static_dispatch.hpp"
 #include "runtime/compute_context.hpp"
 #include "runtime/isa.hpp"
 #include "util/rng.hpp"
@@ -35,24 +36,11 @@ using hybridcnn::reliable::make_executor;
 using hybridcnn::reliable::ReliableConv2d;
 using hybridcnn::reliable::ReliableLinear;
 using hybridcnn::reliable::ReliableResult;
-using hybridcnn::reliable::detail::reliable_simd_enabled;
-using hybridcnn::reliable::detail::set_reliable_simd_enabled;
 using hybridcnn::runtime::ComputeContext;
 using hybridcnn::runtime::isa::kFloatLanes;
 using hybridcnn::tensor::Shape;
 using hybridcnn::tensor::Tensor;
 using hybridcnn::util::Rng;
-
-/// Restores the kill-switch state on scope exit so tests cannot leak a
-/// disabled vector path into each other.
-class SimdGuard {
- public:
-  SimdGuard() : saved_(reliable_simd_enabled()) {}
-  ~SimdGuard() { set_reliable_simd_enabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 struct Geometry {
   std::size_t out_c, in_c, k, stride, pad, h, w;
@@ -104,7 +92,6 @@ void expect_bits_equal(const Tensor& a, const Tensor& b) {
 // ------------------------------------------------- conv fault-free path
 
 TEST(SimdDispatchConv, VectorScalarAndGenericAgreeBitForBit) {
-  const SimdGuard guard;
   for (const char* scheme : {"simplex", "dmr", "tmr"}) {
     for (std::size_t gi = 0; gi < kGeometries.size(); ++gi) {
       SCOPED_TRACE(std::string(scheme) + " geometry " + std::to_string(gi));
@@ -112,21 +99,17 @@ TEST(SimdDispatchConv, VectorScalarAndGenericAgreeBitForBit) {
       const ReliableConv2d conv = make_conv(g);
       const Tensor input = make_input(g);
 
-      set_reliable_simd_enabled(true);
       const auto simd_exec = make_executor(scheme, nullptr);
       const ReliableResult simd = conv.forward(input, *simd_exec);
 
-      set_reliable_simd_enabled(false);
-      const auto scalar_exec = make_executor(scheme, nullptr);
-      const ReliableResult scalar = conv.forward(input, *scalar_exec);
+      const Tensor scalar = conv.reference_forward(input);
 
       const auto oracle_exec = make_executor(scheme, nullptr);
       const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
 
       ASSERT_TRUE(simd.report.ok);
-      expect_bits_equal(simd.output, scalar.output);
+      expect_bits_equal(simd.output, scalar);
       expect_bits_equal(simd.output, oracle.output);
-      EXPECT_TRUE(simd.report == scalar.report);
       EXPECT_TRUE(simd.report == oracle.report);
       EXPECT_EQ(simd_exec->stats().logical_ops,
                 oracle_exec->stats().logical_ops);
@@ -139,9 +122,7 @@ TEST(SimdDispatchConv, VectorScalarAndGenericAgreeBitForBit) {
 TEST(SimdDispatchConv, CleanInjectorCursorIsReplayedUnderSimd) {
   // A kNone injector keeps the fast path eligible but makes the PE
   // cursor and execution counters observable: the vector path must
-  // credit them exactly like the scalar and generic paths.
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
+  // credit them exactly like the generic path.
   FaultConfig cfg;
   cfg.kind = FaultKind::kNone;
   cfg.num_pes = 7;
@@ -168,9 +149,7 @@ TEST(SimdDispatchConv, CleanInjectorCursorIsReplayedUnderSimd) {
 
 TEST(SimdDispatchConv, ArmedInjectorBypassesVectorPath) {
   // With faults possible the kernel must stay on the qualified scalar
-  // engine regardless of the kill-switch: same bits, reports and
-  // injector draws as the generic oracle in both switch positions.
-  const SimdGuard guard;
+  // engine: same bits, reports and injector draws as the generic oracle.
   FaultConfig cfg;
   cfg.kind = FaultKind::kTransient;
   cfg.probability = 2e-3;
@@ -178,38 +157,24 @@ TEST(SimdDispatchConv, ArmedInjectorBypassesVectorPath) {
   const Geometry& g = kGeometries[0];
   const ReliableConv2d conv = make_conv(g);
   const Tensor input = make_input(g);
-  for (const bool simd_on : {true, false}) {
-    SCOPED_TRACE(simd_on ? "simd on" : "simd off");
-    set_reliable_simd_enabled(simd_on);
-    for (const char* scheme : {"dmr", "tmr"}) {
-      const auto fast_exec =
-          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 41));
-      const auto oracle_exec =
-          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 41));
-      const ReliableResult fast = conv.forward(input, *fast_exec);
-      const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
-      expect_bits_equal(fast.output, oracle.output);
-      EXPECT_TRUE(fast.report == oracle.report);
-      EXPECT_EQ(fast_exec->injector()->stats().faults,
-                oracle_exec->injector()->stats().faults);
-    }
+  for (const char* scheme : {"dmr", "tmr"}) {
+    SCOPED_TRACE(scheme);
+    const auto fast_exec =
+        make_executor(scheme, std::make_shared<FaultInjector>(cfg, 41));
+    const auto oracle_exec =
+        make_executor(scheme, std::make_shared<FaultInjector>(cfg, 41));
+    const ReliableResult fast = conv.forward(input, *fast_exec);
+    const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
+    expect_bits_equal(fast.output, oracle.output);
+    EXPECT_TRUE(fast.report == oracle.report);
+    EXPECT_EQ(fast_exec->injector()->stats().faults,
+              oracle_exec->injector()->stats().faults);
   }
-}
-
-TEST(SimdDispatchConv, KillSwitchTogglesAndRestores) {
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
-  EXPECT_TRUE(reliable_simd_enabled());
-  set_reliable_simd_enabled(false);
-  EXPECT_FALSE(reliable_simd_enabled());
-  set_reliable_simd_enabled(true);
-  EXPECT_TRUE(reliable_simd_enabled());
 }
 
 // ---------------------------------------------------------- linear path
 
 TEST(SimdDispatchLinear, VectorScalarAndGenericAgreeAcrossWidths) {
-  const SimdGuard guard;
   // Widths straddling the lane count: below one block, exactly one
   // block, blocks + remainder, and a larger non-multiple.
   const std::size_t widths[] = {3, kFloatLanes, 2 * kFloatLanes + 3, 37};
@@ -225,22 +190,18 @@ TEST(SimdDispatchLinear, VectorScalarAndGenericAgreeAcrossWidths) {
       Tensor input(Shape{19});
       input.fill_normal(rng, 0.0f, 1.0f);
 
-      set_reliable_simd_enabled(true);
       const auto simd_exec = make_executor(scheme, nullptr);
       const ReliableResult simd = linear.forward(input, *simd_exec);
 
-      set_reliable_simd_enabled(false);
-      const auto scalar_exec = make_executor(scheme, nullptr);
-      const ReliableResult scalar = linear.forward(input, *scalar_exec);
+      const Tensor scalar = linear.reference_forward(input);
 
       const auto oracle_exec = make_executor(scheme, nullptr);
       const ReliableResult oracle =
           linear.forward_generic(input, *oracle_exec);
 
       ASSERT_TRUE(simd.report.ok);
-      expect_bits_equal(simd.output, scalar.output);
+      expect_bits_equal(simd.output, scalar);
       expect_bits_equal(simd.output, oracle.output);
-      EXPECT_TRUE(simd.report == scalar.report);
       EXPECT_TRUE(simd.report == oracle.report);
       EXPECT_EQ(simd_exec->stats().executions,
                 oracle_exec->stats().executions);
@@ -256,8 +217,6 @@ TEST_P(SimdDispatchThreads, FaultFreeCampaignMatchesGeneric) {
   // Fault-free campaign fanned across the pool: every run takes the
   // vector fast path concurrently; the summary and per-run outputs must
   // match the generic oracle at every thread count.
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
   ComputeContext::set_global_threads(GetParam());
 
   const Geometry& g = kGeometries[1];
@@ -274,7 +233,6 @@ TEST_P(SimdDispatchThreads, FaultFreeCampaignMatchesGeneric) {
     return hybridcnn::faultsim::classify(false, !result.report.ok,
                                          result.output == golden);
   };
-  conv.prepare_fast_path();
   const CampaignSummary fast =
       hybridcnn::faultsim::run_campaign(kRuns, [&](std::size_t run) {
         const auto exec = make_exec(run);
@@ -302,12 +260,12 @@ INSTANTIATE_TEST_SUITE_P(Threads, SimdDispatchThreads,
 // ---------------------------------------------- vector-kernel threads
 
 /// Vector vs scalar vs generic, across every scheme and geometry, at
-/// each pool width: the (block group, row) fan-out must not perturb a
-/// bit, including the masked tail-store path of out_c below a lane block.
+/// each pool width: the (block group, row) fan-out and the scalar
+/// golden's per-channel fan-out must not perturb a bit, including the
+/// masked tail-store path of out_c below a lane block.
 class SimdKernelThreads : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SimdKernelThreads, VectorScalarGenericAgreeBitForBit) {
-  const SimdGuard guard;
   ComputeContext::set_global_threads(GetParam());
   for (const char* scheme : {"simplex", "dmr", "tmr"}) {
     for (std::size_t gi = 0; gi < kGeometries.size(); ++gi) {
@@ -320,11 +278,8 @@ TEST_P(SimdKernelThreads, VectorScalarGenericAgreeBitForBit) {
       const auto oracle_exec = make_executor(scheme, nullptr);
       const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
 
-      set_reliable_simd_enabled(false);
-      const auto scalar_exec = make_executor(scheme, nullptr);
-      const ReliableResult scalar = conv.forward(input, *scalar_exec);
+      const Tensor scalar = conv.reference_forward(input);
 
-      set_reliable_simd_enabled(true);
       const auto exec = make_executor(scheme, nullptr);
       const ReliableResult fast = conv.forward(input, *exec);
       ASSERT_TRUE(fast.report.ok);
@@ -332,8 +287,7 @@ TEST_P(SimdKernelThreads, VectorScalarGenericAgreeBitForBit) {
       EXPECT_TRUE(fast.report == oracle.report);
       EXPECT_EQ(exec->stats().logical_ops, oracle_exec->stats().logical_ops);
       EXPECT_EQ(exec->stats().executions, oracle_exec->stats().executions);
-      expect_bits_equal(scalar.output, oracle.output);
-      EXPECT_TRUE(scalar.report == oracle.report);
+      expect_bits_equal(scalar, oracle.output);
     }
   }
   ComputeContext::set_global_threads(1);
@@ -342,97 +296,112 @@ TEST_P(SimdKernelThreads, VectorScalarGenericAgreeBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Threads, SimdKernelThreads,
                          ::testing::Values<std::size_t>(1, 2, 8));
 
-// --------------------------------------------- weight-repack staleness
+// ------------------------------------------ randomised geometry sweep
 
-TEST(WeightRepack, ConvPackIsInvalidatedBySetWeights) {
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
-
-  const Geometry& g = kGeometries[0];
-  ReliableConv2d conv = make_conv(g);
-  const Tensor input = make_input(g);
-
-  conv.prepare_fast_path();
-  const auto pack_before = conv.channel_pack();
-  const std::uint64_t gen_before = conv.weight_generation();
-  if (pack_before != nullptr) {  // nullptr on non-SIMD targets
-    EXPECT_EQ(pack_before->generation, gen_before);
+/// Draws conv geometries from a fixed seed over the whole shape space the
+/// fast path must cover: every channel extent from one lane to three
+/// blocks plus a partial tail, 1..7 kernels, strides up to 4 and pads up
+/// to k + 1 (pad >= k gives bias-only border outputs), with input sizes
+/// reaching down to kernel == padded input (a 1x1 output).
+std::vector<Geometry> draw_sweep_geometries(std::size_t count) {
+  Rng rng(20241017);
+  const auto draw = [&](std::size_t lo, std::size_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+  };
+  // Smallest extent whose padded size still fits the kernel, plus 0..6.
+  const auto extent = [&](std::size_t k, std::size_t pad) {
+    const std::size_t min = k > 2 * pad ? k - 2 * pad : 1;
+    return min + (rng.bernoulli(0.25) ? 0 : draw(0, 6));
+  };
+  std::vector<Geometry> geometries;
+  for (std::size_t i = 0; i < count; ++i) {
+    Geometry g{};
+    g.out_c = draw(1, 3 * kFloatLanes + 3);
+    g.in_c = draw(1, 4);
+    g.k = draw(1, 7);
+    g.stride = draw(1, 4);
+    g.pad = draw(0, g.k + 1);
+    g.h = extent(g.k, g.pad);
+    g.w = extent(g.k, g.pad);
+    geometries.push_back(g);
   }
-
-  // Mutate the weights: the cached pack must be rebuilt, and the forward
-  // must match a conv constructed fresh with the new weights bit for bit.
-  Rng rng(97);
-  Tensor new_weights(Shape{g.out_c, g.in_c, g.k, g.k});
-  new_weights.fill_normal(rng, 0.0f, 0.5f);
-  conv.set_weights(new_weights);
-  EXPECT_EQ(conv.weight_generation(), gen_before + 1);
-
-  const auto pack_after = conv.channel_pack();
-  if (pack_after != nullptr) {
-    EXPECT_NE(pack_before.get(), pack_after.get());
-    EXPECT_EQ(pack_after->generation, gen_before + 1);
-  }
-
-  Tensor bias(Shape{g.out_c});
-  Rng bias_rng(11);  // make_conv's seed: regenerate the same bias
-  Tensor w_dummy(Shape{g.out_c, g.in_c, g.k, g.k});
-  w_dummy.fill_normal(bias_rng, 0.0f, 0.5f);
-  bias.fill_normal(bias_rng, 0.0f, 0.1f);
-  const ReliableConv2d fresh(new_weights, bias, ConvSpec{g.stride, g.pad},
-                             {});
-
-  const auto stale_exec = make_executor("simplex", nullptr);
-  const auto fresh_exec = make_executor("simplex", nullptr);
-  const ReliableResult updated = conv.forward(input, *stale_exec);
-  const ReliableResult expected = fresh.forward(input, *fresh_exec);
-  expect_bits_equal(updated.output, expected.output);
-  EXPECT_TRUE(updated.report == expected.report);
-
-  // And a stale-shape update must be rejected without touching state.
-  Tensor bad(Shape{g.out_c, g.in_c, g.k, g.k + 1});
-  EXPECT_THROW(conv.set_weights(bad), std::invalid_argument);
-  EXPECT_EQ(conv.weight_generation(), gen_before + 1);
+  return geometries;
 }
 
-TEST(WeightRepack, LinearPackIsInvalidatedBySetWeights) {
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
+std::string describe(const Geometry& g) {
+  return "out_c " + std::to_string(g.out_c) + " in_c " +
+         std::to_string(g.in_c) + " k " + std::to_string(g.k) + " stride " +
+         std::to_string(g.stride) + " pad " + std::to_string(g.pad) + " in " +
+         std::to_string(g.h) + "x" + std::to_string(g.w);
+}
 
-  const std::size_t out_n = 2 * kFloatLanes + 3;
-  const std::size_t in_n = 19;
-  Rng rng(5);
-  Tensor weights(Shape{out_n, in_n});
-  weights.fill_normal(rng, 0.0f, 0.4f);
-  Tensor bias(Shape{out_n});
-  bias.fill_normal(rng, 0.0f, 0.1f);
-  ReliableLinear linear(weights, bias);
-  Tensor input(Shape{in_n});
-  input.fill_normal(rng, 0.0f, 1.0f);
-
-  linear.prepare_fast_path();
-  const auto pack_before = linear.neuron_pack();
-  const std::uint64_t gen_before = linear.weight_generation();
-
-  Tensor new_weights(Shape{out_n, in_n});
-  new_weights.fill_normal(rng, 0.0f, 0.4f);
-  linear.set_weights(new_weights);
-  EXPECT_EQ(linear.weight_generation(), gen_before + 1);
-  const auto pack_after = linear.neuron_pack();
-  if (pack_after != nullptr) {
-    EXPECT_NE(pack_before.get(), pack_after.get());
-    EXPECT_EQ(pack_after->generation, gen_before + 1);
+TEST(RandomGeometrySweep, ConvFastPathMatchesReferenceAndGeneric) {
+  const char* const schemes[] = {"simplex", "dmr", "tmr"};
+  const std::vector<Geometry> geometries = draw_sweep_geometries(240);
+  std::vector<ReliableConv2d> convs;
+  std::vector<Tensor> inputs;
+  std::vector<ReliableResult> oracles;  // serial: thread-independent
+  for (std::size_t i = 0; i < geometries.size(); ++i) {
+    convs.push_back(make_conv(geometries[i], 100 + i));
+    inputs.push_back(make_input(geometries[i], 500 + i));
+    const auto exec = make_executor(schemes[i % 3], nullptr);
+    oracles.push_back(convs[i].forward_generic(inputs[i], *exec));
   }
+  bool saw_one_by_one = false;
+  for (const std::size_t threads : {1, 8}) {
+    ComputeContext::set_global_threads(threads);
+    for (std::size_t i = 0; i < geometries.size(); ++i) {
+      SCOPED_TRACE(std::string(schemes[i % 3]) + " case " +
+                   std::to_string(i) + ": " + describe(geometries[i]) +
+                   " threads " + std::to_string(threads));
+      const auto exec = make_executor(schemes[i % 3], nullptr);
+      const ReliableResult fast = convs[i].forward(inputs[i], *exec);
+      const Tensor scalar = convs[i].reference_forward(inputs[i]);
+      ASSERT_TRUE(fast.report.ok);
+      expect_bits_equal(fast.output, scalar);
+      expect_bits_equal(fast.output, oracles[i].output);
+      EXPECT_TRUE(fast.report == oracles[i].report);
+      saw_one_by_one = saw_one_by_one || fast.output.count() ==
+                                             geometries[i].out_c;
+    }
+  }
+  ComputeContext::set_global_threads(1);
+  EXPECT_TRUE(saw_one_by_one) << "the sweep must reach a 1x1 output";
+}
 
-  const ReliableLinear fresh(new_weights, bias);
-  const auto updated_exec = make_executor("simplex", nullptr);
-  const auto fresh_exec = make_executor("simplex", nullptr);
-  const ReliableResult updated = linear.forward(input, *updated_exec);
-  const ReliableResult expected = fresh.forward(input, *fresh_exec);
-  expect_bits_equal(updated.output, expected.output);
-  EXPECT_TRUE(updated.report == expected.report);
+TEST(RandomGeometrySweep, LinearFastPathMatchesReferenceAndGeneric) {
+  const char* const schemes[] = {"simplex", "dmr", "tmr"};
+  Rng rng(77);
+  for (const std::size_t threads : {1, 8}) {
+    ComputeContext::set_global_threads(threads);
+    for (std::size_t out_n = 1; out_n <= 3 * kFloatLanes + 3; ++out_n) {
+      const std::size_t in_n =
+          static_cast<std::size_t>(rng.uniform_int(1, 40));
+      const char* scheme = schemes[out_n % 3];
+      SCOPED_TRACE(std::string(scheme) + " out_n " + std::to_string(out_n) +
+                   " in_n " + std::to_string(in_n) + " threads " +
+                   std::to_string(threads));
+      Tensor weights(Shape{out_n, in_n});
+      weights.fill_normal(rng, 0.0f, 0.4f);
+      Tensor bias(Shape{out_n});
+      bias.fill_normal(rng, 0.0f, 0.1f);
+      const ReliableLinear linear(weights, bias);
+      Tensor input(Shape{in_n});
+      input.fill_normal(rng, 0.0f, 1.0f);
 
-  Tensor bad(Shape{out_n, in_n + 1});
-  EXPECT_THROW(linear.set_weights(bad), std::invalid_argument);
+      const auto exec = make_executor(scheme, nullptr);
+      const ReliableResult fast = linear.forward(input, *exec);
+      const auto oracle_exec = make_executor(scheme, nullptr);
+      const ReliableResult oracle =
+          linear.forward_generic(input, *oracle_exec);
+      ASSERT_TRUE(fast.report.ok);
+      expect_bits_equal(fast.output, linear.reference_forward(input));
+      expect_bits_equal(fast.output, oracle.output);
+      EXPECT_TRUE(fast.report == oracle.report);
+    }
+  }
+  ComputeContext::set_global_threads(1);
 }
 
 }  // namespace

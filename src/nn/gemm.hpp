@@ -1,14 +1,23 @@
 // Dense matrix multiply used by the convolution (im2col) and linear
 // layers. Row-major throughout.
 //
-// The kernels are cache-blocked and panel-packed (GotoBLAS-style KC/MR/NR
-// blocking with a register-tiled micro-kernel) and split C tiles across
-// the runtime thread pool. The K dimension is never parallelised and the
-// per-element accumulation order is a pure function of the problem shape,
-// so results are bit-identical regardless of thread count — the property
-// the fault-campaign analysis relies on. Small problems fall through to
-// the naive reference kernels (nn/gemm_ref.hpp) where packing overhead
-// would dominate.
+// gemm, gemm_acc, gemm_at_b and gemm_at_b_assign are cache-blocked and
+// panel-packed (GotoBLAS-style KC/MR/NR blocking with a register-tiled
+// micro-kernel) and split C tiles across the runtime thread pool. Small
+// problems fall through to the naive reference kernels (nn/gemm_ref.hpp)
+// where packing overhead would dominate.
+//
+// gemm_a_bt packs nothing: it streams B ([n x k], the layout Linear stores
+// its weights in) in place with a register-tiled dot-product kernel and
+// splits C column blocks across the pool. Each C element is computed by
+// the same sequence of operations wherever it lands, so its bits depend
+// only on k (and the ISA tier): row i of an m-row product equals the
+// m = 1 product of row i. Small problems run the same kernel inline.
+//
+// The K dimension is never parallelised and the per-element accumulation
+// order is a pure function of the problem shape, so results are
+// bit-identical regardless of thread count — the property the
+// fault-campaign analysis relies on.
 //
 // Every operation, including a multiplication by zero, is executed: the
 // reliability analysis depends on knowing exactly which scalar operations

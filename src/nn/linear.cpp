@@ -30,8 +30,8 @@ tensor::Tensor Linear::infer(const tensor::Tensor& input,
   }
   const std::size_t n = in[0];
   tensor::Tensor out(tensor::Shape{n, out_});
-  // out[n, out] += x[n, in] * W^T (W stored [out, in]); GEMM packing
-  // scratch comes from the global context's per-slot arenas.
+  // out[n, out] += x[n, in] * W^T: W is stored [out, in] and streamed in
+  // place, and each output row is bit-identical to a [1, in] call.
   gemm_a_bt(n, in_, out_, input.data().data(), weights_.data().data(),
             out.data().data());
   for (std::size_t s = 0; s < n; ++s) {

@@ -7,9 +7,9 @@
 // (the bit-identity contract rests on -ffp-contract=off), so there is no
 // scalar tier. Both explicit-SIMD consumers sit on this header:
 //
-//   * nn/gemm.cpp — the blocked GEMM micro-kernel sizes its register
-//     tile from kFloatLanes (the accumulator block must fill but not
-//     spill the vector register file);
+//   * nn/gemm.cpp — the blocked GEMM micro-kernel and the A * B^T dot
+//     kernel size their register tiles from kFloatLanes (the accumulator
+//     block must fill but not spill the vector register file);
 //   * reliable/static_dispatch.hpp — the fault-free qualified kernels
 //     vectorize across independent output channels in kFloatLanes-wide
 //     blocks (channel-axis lanes, never the reduction axis, so every

@@ -1,20 +1,24 @@
 // Blocked GEMM equivalence against the naive reference kernels over
-// randomized shapes, accumulate semantics, thread-count invariance, and
-// the NaN-propagation guarantee (no zero-operand skipping).
+// randomized shapes, accumulate semantics, thread-count invariance, the
+// row (m-)invariance of A * B^T, and the NaN-propagation guarantee (no
+// zero-operand skipping, no NaN from the zero-padded k tail).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "nn/gemm.hpp"
 #include "nn/gemm_ref.hpp"
 #include "runtime/compute_context.hpp"
+#include "runtime/isa.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using hybridcnn::runtime::ComputeContext;
+using hybridcnn::runtime::isa::kFloatLanes;
 using hybridcnn::util::Rng;
 namespace nn = hybridcnn::nn;
 
@@ -127,20 +131,66 @@ TEST_F(GemmBlocked, AssignVariantEqualsMemsetPlusAccumulate) {
 
 TEST_F(GemmBlocked, BitIdenticalAcrossThreadCounts) {
   Rng rng(12);
-  const Shape3 s{97, 513, 203};  // blocked path, ragged tiles, 3 K panels
+  // gemm: blocked path, ragged tiles, 3 K panels. gemm_a_bt: an fc-like
+  // ragged shape split into several column blocks, with a k tail.
+  const Shape3 s{97, 513, 203};
+  const Shape3 t{3, 1000, 517};
   const auto a = random_matrix(rng, s.m * s.k, s.k);
   const auto b = random_matrix(rng, s.k * s.n, s.k);
+  const auto ta = random_matrix(rng, t.m * t.k, t.k);
+  const auto tb = random_matrix(rng, t.n * t.k, t.k);  // stored [n x k]
+  const auto tc = random_matrix(rng, t.m * t.n, 1);
   std::vector<std::vector<float>> results;
+  std::vector<std::vector<float>> a_bt_results;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ComputeContext::set_global_threads(threads);
     std::vector<float> c(s.m * s.n);
     nn::gemm(s.m, s.k, s.n, a.data(), b.data(), c.data());
     results.push_back(std::move(c));
+    auto c_bt = tc;
+    nn::gemm_a_bt(t.m, t.k, t.n, ta.data(), tb.data(), c_bt.data());
+    a_bt_results.push_back(std::move(c_bt));
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_EQ(0, std::memcmp(results[0].data(), results[i].data(),
                              results[0].size() * sizeof(float)))
         << "thread-count variant " << i << " diverged";
+    EXPECT_EQ(0, std::memcmp(a_bt_results[0].data(), a_bt_results[i].data(),
+                             a_bt_results[0].size() * sizeof(float)))
+        << "gemm_a_bt thread-count variant " << i << " diverged";
+  }
+}
+
+TEST_F(GemmBlocked, TransposedBRowsMatchSingleRowProducts) {
+  // Row i of an m-row A * B^T product must be bit-identical to the m = 1
+  // product of row i alone, whatever the tile that row lands in and the
+  // thread count: a batched FC forward relies on it.
+  constexpr std::size_t kMaxSmallK = 3 * kFloatLanes + 5;
+  Rng rng(13);
+  for (std::size_t shape = 0; shape < 240; ++shape) {
+    const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 13));
+    const std::size_t k =
+        shape % 8 == 0   ? 729
+        : shape % 8 == 4 ? 4096
+                         : static_cast<std::size_t>(
+                               rng.uniform_int(1, kMaxSmallK));
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 15));
+    const auto a = random_matrix(rng, m * k, k);
+    const auto b = random_matrix(rng, n * k, k);  // stored [n x k]
+    const auto c0 = random_matrix(rng, m * n, 1);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ComputeContext::set_global_threads(threads);
+      auto batched = c0;
+      nn::gemm_a_bt(m, k, n, a.data(), b.data(), batched.data());
+      for (std::size_t i = 0; i < m; ++i) {
+        std::vector<float> row(c0.begin() + i * n, c0.begin() + (i + 1) * n);
+        nn::gemm_a_bt(1, k, n, a.data() + i * k, b.data(), row.data());
+        ASSERT_EQ(0, std::memcmp(row.data(), batched.data() + i * n,
+                                 n * sizeof(float)))
+            << "row " << i << " of " << m << "x" << k << "x" << n << " at "
+            << threads << " threads";
+      }
+    }
   }
 }
 
@@ -157,6 +207,33 @@ TEST_F(GemmBlocked, ZeroOperandsDoNotSuppressNanPropagation) {
     EXPECT_TRUE(std::isnan(c[0 * n + 3])) << "dim " << dim;
     EXPECT_TRUE(std::isnan(c[(m - 1) * n + 3])) << "dim " << dim;
     EXPECT_EQ(c[0], 0.0f) << "dim " << dim;
+  }
+  // gemm_a_bt reads B [n x k] in place and zero-pads the last k % lanes
+  // floats of each row: the padding must neither hide a NaN or 0 * Inf
+  // in the real tail nor invent one. Inline (small) and pool paths; the
+  // odd m and n put the last row and column in leftover tiles.
+  for (const std::size_t dim : {8u, 96u}) {
+    const std::size_t m = dim + 1, k = dim + 3, n = dim + 1;
+    ASSERT_NE(k % kFloatLanes, 0u);
+    const std::vector<float> a(m * k, 0.0f);  // all-zero A
+    std::vector<float> b(n * k, 1.0f);
+    b[(n - 1) * k + (k - 1)] = std::nanf("");  // last B row, in the tail
+    b[(n - 2) * k + (k - 2)] =  // 0 * Inf in the tail
+        std::numeric_limits<float>::infinity();
+    std::vector<float> c(m * n, 0.0f);
+    nn::gemm_a_bt(m, k, n, a.data(), b.data(), c.data());
+    for (std::size_t i = 0; i < m; ++i) {
+      EXPECT_TRUE(std::isnan(c[i * n + n - 1])) << "dim " << dim << " i " << i;
+      EXPECT_TRUE(std::isnan(c[i * n + n - 2])) << "dim " << dim << " i " << i;
+      EXPECT_EQ(c[i * n], 0.0f) << "dim " << dim << " i " << i;
+    }
+
+    Rng rng(14);
+    const auto fa = random_matrix(rng, m * k, k);
+    const auto fb = random_matrix(rng, n * k, k);
+    std::vector<float> fc(m * n, 0.0f);
+    nn::gemm_a_bt(m, k, n, fa.data(), fb.data(), fc.data());
+    for (const float x : fc) EXPECT_TRUE(std::isfinite(x)) << "dim " << dim;
   }
 }
 

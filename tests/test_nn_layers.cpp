@@ -17,6 +17,8 @@
 #include "nn/sequential.hpp"
 #include "nn/softmax.hpp"
 #include "reliable/executor.hpp"
+#include "runtime/compute_context.hpp"
+#include "runtime/isa.hpp"
 #include "runtime/workspace.hpp"
 #include "reliable/reliable_conv.hpp"
 #include "util/rng.hpp"
@@ -187,6 +189,37 @@ TEST(Linear, KnownValue) {
   const Tensor out = fc.infer(in, scratch());
   EXPECT_FLOAT_EQ(out[0], 3.5f);
   EXPECT_FLOAT_EQ(out[1], 6.5f);
+}
+
+TEST(Linear, BatchRowsMatchSingleRowCallsBitForBit) {
+  // A batched FC forward must reproduce per-image calls exactly, so that
+  // a batched remainder keeps batch results equal to looped classify. A
+  // 1 x kIn x kOut product is under the GEMM small-problem size (run
+  // inline) and the batch is over it (run on the pool).
+  constexpr std::size_t kIn = 1037, kOut = 103, kBatch = 5;
+  static_assert(kIn % hybridcnn::runtime::isa::kFloatLanes != 0);
+  static_assert(kOut % 4 != 0);
+  Linear fc(kIn, kOut);
+  Rng rng(21);
+  fc.init_he(rng);
+  fc.bias().fill_uniform(rng, -0.5f, 0.5f);
+  Tensor batch(Shape{kBatch, kIn});
+  batch.fill_uniform(rng, -1.0f, 1.0f);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    hybridcnn::runtime::ComputeContext::set_global_threads(threads);
+    const Tensor out = fc.infer(batch, scratch());
+    for (std::size_t s = 0; s < kBatch; ++s) {
+      Tensor row(Shape{1, kIn});
+      std::memcpy(row.data().data(), batch.data().data() + s * kIn,
+                  kIn * sizeof(float));
+      const Tensor one = fc.infer(row, scratch());
+      EXPECT_EQ(0, std::memcmp(one.data().data(),
+                               out.data().data() + s * kOut,
+                               kOut * sizeof(float)))
+          << "sample " << s << " at " << threads << " threads";
+    }
+  }
+  hybridcnn::runtime::ComputeContext::set_global_threads(1);
 }
 
 TEST(Softmax, NormalisesRows) {

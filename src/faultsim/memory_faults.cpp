@@ -1,9 +1,9 @@
 #include "faultsim/memory_faults.hpp"
 
-#include <cmath>
 #include <unordered_set>
 
 #include "faultsim/bitflip.hpp"
+#include "faultsim/geometric.hpp"
 
 namespace hybridcnn::faultsim {
 
@@ -33,18 +33,16 @@ MemoryFaultReport inject_bit_errors(tensor::Tensor& t, double bit_error_rate,
 
   // Geometric skip sampling over the flattened bit space: with per-bit
   // flip probability p, the number of clean bits before the next flip is
-  // Geometric(p), sampled by inversion as floor(log(1-u) / log(1-p)).
-  // One uniform draw per flip replaces one Bernoulli trial per bit
-  // (O(32N) -> O(p * 32N) draws) while producing the exact i.i.d.
-  // Bernoulli(p) flip-site distribution.
-  const double log_keep = std::log1p(-bit_error_rate);  // log(1-p) < 0
+  // Geometric(p). One uniform draw per flip replaces one Bernoulli trial
+  // per bit (O(32N) -> O(p * 32N) draws) while producing the exact
+  // i.i.d. Bernoulli(p) flip-site distribution.
+  const GeometricGap gap(bit_error_rate);
   std::uint64_t pos = 0;  // next candidate site
   while (pos < total_bits) {
-    const double u = rng.uniform();  // [0, 1); 1-u in (0, 1]
+    const std::uint64_t skip = gap.draw(rng);  // one uniform: 0 < p < 1
     ++report.rng_draws;
-    const double skip = std::floor(std::log1p(-u) / log_keep);
-    if (!(skip < static_cast<double>(total_bits - pos))) break;
-    pos += static_cast<std::uint64_t>(skip);
+    if (skip >= total_bits - pos) break;
+    pos += skip;
     flip_site(t, pos);
     ++report.bits_flipped;
     ++pos;

@@ -8,7 +8,10 @@
 // if the two products agree (Algorithm 2). Executors route every physical
 // execution through a faultsim::FaultInjector, which models the unreliable
 // compute unit; the executor itself is the architecture-independent
-// reliability wrapper the paper proposes.
+// reliability wrapper the paper proposes. Executions the injector
+// guarantees clean (clean_executions_ahead()) may instead be computed as
+// raw arithmetic by a kernel and credited here in bulk
+// (credit_fault_free_ops), with identical stats and injector state.
 //
 // Two dispatch surfaces coexist (see src/reliable/README.md):
 //   * the virtual mul()/add() interface — the generic path, kept as the
@@ -67,6 +70,22 @@ inline bool same_bits(float x, float y) noexcept {
   return faultsim::float_bits(x) == faultsim::float_bits(y);
 }
 
+/// A physical op's result with its NaN payload pinned. When both operands
+/// are NaN, IEEE 754 lets the hardware return either one, and which one
+/// an x86 add or mul returns follows the operand order the compiler
+/// happened to emit — which differs between the inlined kernels and the
+/// virtual oracle. Pinning it to the first NaN operand, quieted, keeps the
+/// two bit-identical; every other result is returned as computed (one NaN
+/// operand already propagates quieted, and an invalid op gives the
+/// default NaN either way).
+inline float pin_nan_payload(float r, float a, float b) noexcept {
+  if (r == r) [[likely]] return r;
+  constexpr std::uint32_t kQuietBit = 0x00400000u;
+  if (a != a) return faultsim::bits_float(faultsim::float_bits(a) | kQuietBit);
+  if (b != b) return faultsim::bits_float(faultsim::float_bits(b) | kQuietBit);
+  return r;
+}
+
 /// Majority vote over three results. Returns the agreed value and whether
 /// a majority exists.
 inline Qualified<float> vote(float r1, float r2, float r3) noexcept {
@@ -114,21 +133,23 @@ class Executor {
     return injector_.get();
   }
 
-  /// True iff no physical execution through this executor can ever be
-  /// corrupted: no injector, or an injector whose fault kind is kNone.
-  /// Hoistable — reliable kernels query it once per forward to select the
-  /// fault-free fast path.
-  [[nodiscard]] bool guaranteed_fault_free() const noexcept {
-    return injector_ == nullptr || injector_->guaranteed_fault_free();
+  /// Upcoming physical executions through this executor that are
+  /// certain to be clean: the injector's clean_executions_ahead(), or
+  /// faultsim::kUnboundedGap with no injector. Reliable kernels query it
+  /// before each run of outputs and compute as many of them as fit as raw
+  /// arithmetic.
+  [[nodiscard]] std::uint64_t clean_executions_ahead() const noexcept {
+    return injector_ ? injector_->clean_executions_ahead()
+                     : faultsim::kUnboundedGap;
   }
 
-  /// Bulk accounting on behalf of an inlined fault-free kernel that
-  /// computed `logical` qualified operations as raw arithmetic: credits
+  /// Bulk accounting on behalf of an inlined kernel that computed
+  /// `logical` qualified operations as raw arithmetic: credits
   /// logical_ops and the scheme's physical executions, and replays the
-  /// elided filter() calls on the injector (execution count + PE cursor)
-  /// via advance_clean(). Leaves stats() and injector state bit-identical
-  /// to `logical` per-op mul/add calls on fault-free hardware.
-  /// Precondition: guaranteed_fault_free().
+  /// elided filter() calls on the injector via advance_clean(). Leaves
+  /// stats() and injector state bit-identical to `logical` per-op mul/add
+  /// calls. Precondition: logical * redundancy() <=
+  /// clean_executions_ahead(), so none of those calls could have faulted.
   void credit_fault_free_ops(std::uint64_t logical) noexcept {
     stats_.logical_ops += logical;
     const std::uint64_t physical =
@@ -149,15 +170,16 @@ class Executor {
       switch (injector_->config().target) {
         case faultsim::FaultTarget::kOperandA:
           av = injector_->filter(av);
-          return av * bv;
+          return detail::pin_nan_payload(av * bv, av, bv);
         case faultsim::FaultTarget::kOperandB:
           bv = injector_->filter(bv);
-          return av * bv;
+          return detail::pin_nan_payload(av * bv, av, bv);
         case faultsim::FaultTarget::kResult:
-          return injector_->filter(av * bv);
+          return injector_->filter(
+              detail::pin_nan_payload(av * bv, av, bv));
       }
     }
-    return av * bv;
+    return detail::pin_nan_payload(av * bv, av, bv);
   }
 
   /// One physical add on the (possibly faulty) compute unit.
@@ -169,15 +191,16 @@ class Executor {
       switch (injector_->config().target) {
         case faultsim::FaultTarget::kOperandA:
           av = injector_->filter(av);
-          return av + bv;
+          return detail::pin_nan_payload(av + bv, av, bv);
         case faultsim::FaultTarget::kOperandB:
           bv = injector_->filter(bv);
-          return av + bv;
+          return detail::pin_nan_payload(av + bv, av, bv);
         case faultsim::FaultTarget::kResult:
-          return injector_->filter(av + bv);
+          return injector_->filter(
+              detail::pin_nan_payload(av + bv, av, bv));
       }
     }
-    return av + bv;
+    return detail::pin_nan_payload(av + bv, av, bv);
   }
 
   ExecutorStats stats_;

@@ -31,6 +31,10 @@ class LeakyBucket {
   /// Records a correct operation: level -= 1, floor 0.
   void record_success() noexcept;
 
+  /// Records `n` correct operations at once: level -= n, floor 0 — the
+  /// state `n` record_success() calls leave.
+  void record_successes(std::uint64_t n) noexcept;
+
   /// True once level has reached the ceiling; latched until reset().
   [[nodiscard]] bool exhausted() const noexcept { return exhausted_; }
 

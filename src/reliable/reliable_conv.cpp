@@ -91,26 +91,11 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
   result.report.stage = "reliable_conv2d";
   result.report.scheme = exec.name();
 
-  const float* in = input.data().data();
-  const float* wgt = weights_.data().data();
-  const float* b = bias_.data().data();
-
-  if (exec.guaranteed_fault_free()) {
-    // Golden fast path: no operation can fail, so the qualified schedule
-    // collapses to raw arithmetic in the identical order (vectorized
-    // across output channels, fanned across the pool); the per-op
-    // bookkeeping is credited in closed form after the join.
-    detail::conv_raw_compute(plan, *pack_, in, result.output.data().data());
-    const std::uint64_t ops = 2 * plan.macs();  // mul + accumulate per MAC
-    result.report.logical_ops = ops;
-    result.report.commits = ops;
-    exec.credit_fault_free_ops(ops);
-    return result;
-  }
-
   detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
-    detail::conv_forward_qualified(plan, in, wgt, b, policy_, concrete,
-                                   result);
+    detail::conv_forward_fault_skip(plan, *pack_, input.data().data(),
+                                    weights_.data().data(),
+                                    bias_.data().data(), policy_, concrete,
+                                    result);
   });
   return result;
 }
@@ -376,32 +361,23 @@ ReliableResult LayerDmrConv2d::forward(const tensor::Tensor& input,
   const float* wgt = inner_.weights().data().data();
   const float* b = inner_.bias().data().data();
 
-  if (exec.guaranteed_fault_free()) {
-    // Both attempts are raw arithmetic on fault-free hardware: they agree
-    // by construction, so one computation serves as the committed layer
-    // and the second pass's bookkeeping is credited in closed form.
-    ReliableResult result{tensor::Tensor(out_shape), {}};
-    ExecutionReport& report = result.report;
-    report.stage = "layer_dmr_conv2d";
-    report.scheme = "layer-dmr(" + exec.name() + ")";
-    LeakyBucket bucket(inner_.policy().bucket_factor,
-                       inner_.policy().bucket_ceiling);
-    detail::conv_raw_compute(plan, inner_.channel_pack(), in,
-                             result.output.data().data());
-    const std::uint64_t ops = 2 * (2 * plan.macs());  // two layer passes
-    report.logical_ops = ops;
-    exec.credit_fault_free_ops(ops);
-    bucket.record_success();
-    ++report.commits;
-    report.bucket_peak = bucket.peak();
-    return result;
-  }
-
+  // A pass whose executions all fit in the clean executions ahead runs as
+  // channel-lane raw arithmetic, credited in closed form; any other pass
+  // runs per op through the injector.
+  const std::uint64_t pass_ops = 2 * plan.macs();
+  const auto redundancy = static_cast<std::uint64_t>(exec.redundancy());
   return layer_dmr_loop(
       inner_, out_shape, "layer-dmr(" + exec.name() + ")",
       [&](tensor::Tensor& buffer, ExecutionReport& report) {
-        unqualified_forward_inline(plan, in, wgt, b, exec, scheme, report,
-                                   buffer.data().data());
+        float* out = buffer.data().data();
+        if (pass_ops * redundancy <= exec.clean_executions_ahead()) {
+          detail::conv_raw_compute(plan, inner_.channel_pack(), in, out);
+          exec.credit_fault_free_ops(pass_ops);
+          report.logical_ops += pass_ops;
+        } else {
+          unqualified_forward_inline(plan, in, wgt, b, exec, scheme, report,
+                                     out);
+        }
       });
 }
 

@@ -26,7 +26,7 @@
 namespace hybridcnn::reliable {
 
 namespace detail {
-// Channel-lane repacked weights for the fault-free fast path; defined in
+// Channel-lane repacked weights for the raw-arithmetic compute; defined in
 // reliable/static_dispatch.hpp (which includes this header).
 struct WeightPack;
 }  // namespace detail
@@ -55,7 +55,7 @@ struct ReliableResult {
 /// Reliably executed convolution layer (Algorithm 3 generalised from one
 /// convolution operation to a full layer). Weights are OIHW, bias is O,
 /// input and output are CHW (single image — the hybrid pipeline operates
-/// per frame). Immutable: the fault-free fast path's channel-lane weight
+/// per frame). Immutable: the raw-arithmetic compute's channel-lane weight
 /// pack is built once in the constructor, so a const layer is safe to
 /// share across threads and copies share one pack.
 class ReliableConv2d {
@@ -71,15 +71,15 @@ class ReliableConv2d {
   /// whatever had been committed up to the failed operation (explicitly
   /// bounded error propagation).
   ///
-  /// Dispatches once per call on the executor's scheme and injector
-  /// state: the three library schemes run a devirtualized inner kernel
-  /// (with a raw-arithmetic fast path — SIMD channel lanes over the
-  /// constructor-built pack — when the executor is
-  /// guaranteed_fault_free()); custom executors fall back to
-  /// forward_generic(). Outputs, reports, executor stats and injector
-  /// state are bit-identical across the paths — the contract
-  /// tests/test_static_dispatch.cpp and tests/test_simd_dispatch.cpp
-  /// enforce.
+  /// Dispatches once per call on the executor's scheme: the three library
+  /// schemes run fault-skip execution — the whole layer as SIMD channel
+  /// lanes over the constructor-built pack, the clean stretches before
+  /// each upset the injector has coming credited in bulk, and only the
+  /// outputs that carry a fault recomputed by a devirtualized qualified
+  /// kernel; custom executors fall back to forward_generic(). Outputs,
+  /// reports, executor stats and injector state are bit-identical across
+  /// the paths — the contract tests/test_static_dispatch.cpp and
+  /// tests/test_simd_dispatch.cpp enforce.
   [[nodiscard]] ReliableResult forward(const tensor::Tensor& input,
                                        Executor& exec) const;
 
@@ -113,7 +113,7 @@ class ReliableConv2d {
   /// Logical multiply-accumulate count for one forward on `in` shape.
   [[nodiscard]] std::uint64_t mac_count(const tensor::Shape& in) const;
 
-  /// The channel-lane repacked weights the fault-free fast path runs on.
+  /// The channel-lane repacked weights the raw-arithmetic compute runs on.
   /// Engine-internal; exposed for layer-granular wrappers
   /// (LayerDmrConv2d runs its inner kernel's pack).
   [[nodiscard]] const detail::WeightPack& channel_pack() const noexcept {
@@ -138,9 +138,12 @@ class LayerDmrConv2d {
 
   /// `exec` supplies the faulty raw arithmetic via a SimplexExecutor-style
   /// single execution; redundancy is applied at layer granularity.
-  /// Scheme-dispatched like ReliableConv2d::forward; the two attempt
-  /// buffers are allocated once and reused across retries, and the
-  /// agreeing attempt is moved (not copied) into the result.
+  /// Scheme-dispatched like ReliableConv2d::forward: a layer pass whose
+  /// executions all fit in exec.clean_executions_ahead() runs as channel
+  /// lanes and is credited in closed form, any other pass runs per op.
+  /// The two attempt buffers are allocated once and reused across
+  /// retries, and the agreeing attempt is moved (not copied) into the
+  /// result.
   [[nodiscard]] ReliableResult forward(const tensor::Tensor& input,
                                        Executor& exec) const;
 

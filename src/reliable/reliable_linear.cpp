@@ -48,22 +48,11 @@ ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
   result.report.stage = "reliable_linear";
   result.report.scheme = exec.name();
 
-  const float* in = input.data().data();
-  const float* wgt = weights_.data().data();
-  const float* b = bias_.data().data();
-
-  if (exec.guaranteed_fault_free()) {
-    detail::linear_raw_compute(*pack_, in, result.output.data().data());
-    const std::uint64_t ops = 2 * static_cast<std::uint64_t>(out_n) * in_n;
-    result.report.logical_ops = ops;
-    result.report.commits = ops;
-    exec.credit_fault_free_ops(ops);
-    return result;
-  }
-
   detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
-    detail::linear_forward_qualified(out_n, in_n, in, wgt, b, policy_,
-                                     concrete, result);
+    detail::linear_forward_fault_skip(*pack_, input.data().data(),
+                                      weights_.data().data(),
+                                      bias_.data().data(), policy_, concrete,
+                                      result);
   });
   return result;
 }

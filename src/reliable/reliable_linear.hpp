@@ -17,7 +17,7 @@
 namespace hybridcnn::reliable {
 
 namespace detail {
-// Neuron-lane repacked weights for the dense fault-free fast path;
+// Neuron-lane repacked weights for the dense raw-arithmetic compute;
 // defined in reliable/static_dispatch.hpp.
 struct LinearWeightPack;
 }  // namespace detail
@@ -35,8 +35,8 @@ class ReliableLinear {
 
   /// Input must be rank-1 of length `in`. Same contract as
   /// ReliableConv2d::forward, including the once-per-call scheme dispatch
-  /// onto devirtualized kernels, the guaranteed-fault-free fast path
-  /// (vectorized across output neurons where the target allows).
+  /// and fault-skip execution (the raw compute vectorized across output
+  /// neurons, only the neurons that carry a fault qualified per op).
   [[nodiscard]] ReliableResult forward(const tensor::Tensor& input,
                                        Executor& exec) const;
 
@@ -55,7 +55,7 @@ class ReliableLinear {
   }
   [[nodiscard]] const tensor::Tensor& bias() const noexcept { return bias_; }
 
-  /// Neuron-lane repacked weights the fault-free fast path runs on; see
+  /// Neuron-lane repacked weights the raw-arithmetic compute runs on; see
   /// ReliableConv2d::channel_pack().
   [[nodiscard]] const detail::LinearWeightPack& neuron_pack() const noexcept {
     return *pack_;

@@ -14,30 +14,39 @@
 //     split into an always-inline success fast path and a cold noinline
 //     slow path (rollback / retry / leaky-bucket escalation). Counter
 //     updates replicate the generic retry loop step for step.
-//   * conv_forward_qualified / linear_forward_qualified /
-//     conv_unqualified_inline — inner kernels templated over the concrete
-//     executor type (Simplex/Dmr/Tmr are final), so mul/add fold into the
-//     loop with no virtual calls or per-op lambdas surviving to codegen.
-//   * conv_raw_compute / linear_raw_compute — the fault-free fast path:
-//     raw arithmetic in the identical operation order, used when the
-//     executor is guaranteed_fault_free(); callers then credit the
-//     elided bookkeeping in closed form (credit_fault_free_ops). The
-//     conv path runs channel lanes (conv_channel_pixels): kFloatLanes
-//     output channels per vector (runtime/isa.hpp) over a [ky][kx][c][o]
-//     WeightPack the owning layer builds once at construction, so every
-//     tap is one contiguous weight vector load times a scalar input
-//     broadcast. It vectorizes across *independent outputs* — never the
-//     (c, ky, kx) reduction — so bit-identity with the scalar loop
-//     (conv_scalar_channel, the body of reference_forward) holds by
-//     construction. All lanes of a vector share (oy, ox) and therefore
-//     the tap ranges, so borders run through the same kernel — no
-//     interior/border split; the padded channel tail scatters only its
-//     valid lanes. The dense path applies the same idea across output
-//     neurons. The conv fast path additionally fans its disjoint
-//     (channel-block group, row) units across the global
-//     runtime::ThreadPool; the elided bookkeeping is credited in closed
-//     form after the join, so outputs and statistics are bit-identical
-//     at every thread count.
+//   * conv_forward_fault_skip / linear_forward_fault_skip — the one body
+//     forward() runs for clean and armed executors alike (fault-skip
+//     execution). The whole layer is computed once as raw arithmetic
+//     (conv_raw_compute / linear_raw_compute); fault_skip_walk then walks
+//     the outputs in the qualified loop order, credits every run of
+//     outputs whose closed-form execution count fits in the executor's
+//     clean_executions_ahead() in bulk (report, ExecutorStats, the
+//     injector via advance_clean, the leaky bucket via
+//     record_successes), and recomputes only the output that holds the
+//     next fault through QualifiedOpRunner (conv_qualify_output /
+//     linear_qualify_output, templated over the concrete executor type so
+//     mul/add fold into the loop with no virtual calls). A fault-free run
+//     is a single credited segment.
+//   * conv_unqualified_inline — the per-op unqualified pass layer-granular
+//     DMR runs when a whole pass does not fit in the clean executions
+//     ahead.
+//   * conv_raw_compute / linear_raw_compute — raw arithmetic in the
+//     identical operation order. The conv path runs channel lanes
+//     (conv_channel_pixels): kFloatLanes output channels per vector
+//     (runtime/isa.hpp) over a [ky][kx][c][o] WeightPack the owning layer
+//     builds once at construction, so every tap is one contiguous weight
+//     vector load times a scalar input broadcast. It vectorizes across
+//     *independent outputs* — never the (c, ky, kx) reduction — so
+//     bit-identity with the scalar loop (conv_scalar_channel, the body of
+//     reference_forward) holds by construction. All lanes of a vector
+//     share (oy, ox) and therefore the tap ranges, so borders run through
+//     the same kernel — no interior/border split; the padded channel tail
+//     scatters only its valid lanes. The dense path applies the same idea
+//     across output neurons. The conv raw compute additionally fans its
+//     disjoint (channel-block group, row) units across the global
+//     runtime::ThreadPool; the walk runs on the caller's thread after the
+//     join, so outputs and statistics are bit-identical at every thread
+//     count.
 //
 // Bit-identity contract: for every (input, executor, injector-seed), a
 // specialized kernel must produce the same output bits, the same
@@ -175,6 +184,14 @@ struct QualifiedOpRunner {
     return run_slow(op, cp);
   }
 
+  /// Marks the report failed at flat op `op` (a persistent error).
+  void abort_at(std::int64_t op) noexcept {
+    report.ok = false;
+    report.failed_op_index = op;
+    report.bucket_peak = bucket.peak();
+    report.bucket_exhausted = bucket.exhausted();
+  }
+
   /// Cold path; returns std::nullopt when the error is persistent (bucket
   /// ceiling or retry cap), mirroring the generic run_qualified loop from
   /// its first detected error onwards.
@@ -204,8 +221,21 @@ struct QualifiedOpRunner {
   }
 };
 
+/// Running sums of valid-tap counts along one axis: entry i is the count
+/// over output coordinates [0, i), so the vector has one more entry than
+/// `ranges`.
+inline std::vector<std::uint64_t> tap_prefix(
+    const std::vector<TapRange>& ranges) {
+  std::vector<std::uint64_t> prefix(ranges.size() + 1, 0);
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    prefix[i + 1] = prefix[i] + ranges[i].count();
+  }
+  return prefix;
+}
+
 /// Flat dimensions of a CHW-in / OIHW-weights convolution, plus the
-/// hoisted valid-tap intervals.
+/// hoisted valid-tap intervals and their running sums, which give the
+/// qualified schedule's logical-op position of any output in closed form.
 struct ConvPlan {
   std::size_t out_c = 0, out_h = 0, out_w = 0;
   std::size_t in_c = 0, in_h = 0, in_w = 0;
@@ -213,6 +243,8 @@ struct ConvPlan {
   std::size_t stride = 0, pad = 0;
   std::vector<TapRange> row_taps;  ///< valid ky per oy
   std::vector<TapRange> col_taps;  ///< valid kx per ox
+  std::vector<std::uint64_t> row_prefix;  ///< tap_prefix(row_taps)
+  std::vector<std::uint64_t> col_prefix;  ///< tap_prefix(col_taps)
 
   ConvPlan(const tensor::Shape& out_shape, const tensor::Shape& in_shape,
            const tensor::Shape& w_shape, std::size_t stride_,
@@ -221,17 +253,111 @@ struct ConvPlan {
         in_c(in_shape[0]), in_h(in_shape[1]), in_w(in_shape[2]),
         kh(w_shape[2]), kw(w_shape[3]), stride(stride_), pad(pad_),
         row_taps(tap_ranges(out_h, stride, pad, kh, in_h)),
-        col_taps(tap_ranges(out_w, stride, pad, kw, in_w)) {}
+        col_taps(tap_ranges(out_w, stride, pad, kw, in_w)),
+        row_prefix(tap_prefix(row_taps)),
+        col_prefix(tap_prefix(col_taps)) {}
+
+  /// Output elements, indexed flat in the qualified order (o, oy, ox).
+  [[nodiscard]] std::size_t outputs() const noexcept {
+    return out_c * out_h * out_w;
+  }
 
   /// Logical MACs of one forward: separable closed form.
   [[nodiscard]] std::uint64_t macs() const noexcept {
-    std::uint64_t row_total = 0;
-    for (const TapRange& r : row_taps) row_total += r.count();
-    std::uint64_t col_total = 0;
-    for (const TapRange& r : col_taps) col_total += r.count();
-    return static_cast<std::uint64_t>(out_c) * in_c * row_total * col_total;
+    return static_cast<std::uint64_t>(out_c) * in_c * row_prefix.back() *
+           col_prefix.back();
+  }
+
+  /// Logical ops (a mul and an accumulate per MAC) of the outputs before
+  /// flat index `i` in the qualified order; `i` may equal outputs().
+  [[nodiscard]] std::uint64_t ops_before(std::size_t i) const noexcept {
+    const std::size_t plane = out_h * out_w;
+    const std::size_t o = i / plane;
+    const std::size_t oy = i % plane / out_w;
+    const std::size_t ox = i % out_w;
+    const std::uint64_t per_tap = 2 * static_cast<std::uint64_t>(in_c);
+    return per_tap *
+           ((o * row_prefix.back() + row_prefix[oy]) * col_prefix.back() +
+            row_taps[oy].count() * col_prefix[ox]);
+  }
+
+  /// Flat index of the output whose reduction holds logical op `t`.
+  /// Precondition: t < 2 * macs().
+  [[nodiscard]] std::size_t output_at(std::uint64_t t) const noexcept {
+    const std::uint64_t per_tap = 2 * static_cast<std::uint64_t>(in_c);
+    const std::uint64_t per_row_tap = per_tap * col_prefix.back();
+    const std::uint64_t per_channel = per_row_tap * row_prefix.back();
+    const std::uint64_t o = t / per_channel;
+    t -= o * per_channel;
+    // The last coordinate whose running sum has not passed t owns it; its
+    // own tap count is non-zero, since the next running sum exceeds t.
+    const std::size_t oy = static_cast<std::size_t>(
+        std::upper_bound(row_prefix.begin(), row_prefix.end(),
+                         t / per_row_tap) -
+        row_prefix.begin() - 1);
+    t -= per_row_tap * row_prefix[oy];
+    const std::size_t ox = static_cast<std::size_t>(
+        std::upper_bound(col_prefix.begin(), col_prefix.end(),
+                         t / (per_tap * row_taps[oy].count())) -
+        col_prefix.begin() - 1);
+    return (static_cast<std::size_t>(o) * out_h + oy) * out_w + ox;
   }
 };
+
+/// Logical-op layout of a dense layer: every output neuron reduces over
+/// the whole input, a mul and an accumulate per input element.
+struct DenseOpLayout {
+  std::uint64_t ops_per_output = 0;
+
+  [[nodiscard]] std::uint64_t ops_before(std::size_t i) const noexcept {
+    return static_cast<std::uint64_t>(i) * ops_per_output;
+  }
+  /// Precondition: ops_per_output > 0.
+  [[nodiscard]] std::size_t output_at(std::uint64_t t) const noexcept {
+    return static_cast<std::size_t>(t / ops_per_output);
+  }
+};
+
+/// The fault-skip walk both reliable kernels share. `out` already holds
+/// the whole layer as raw arithmetic; `layout` maps flat output indices
+/// (in the qualified loop order) to the closed-form logical-op count
+/// before them. Each pass asks the executor how many executions ahead are
+/// certain to be clean and credits every whole output that fits in bulk:
+/// the report's logical_ops and commits, ExecutorStats and the injector
+/// (credit_fault_free_ops), and the leaky bucket (record_successes). The
+/// output that holds the next fault is recomputed through
+/// `qualify(index, first_op)` — the per-op QualifiedOpRunner schedule,
+/// with rollback, retry and abort — and the walk asks again. A fault-free
+/// run is one credited segment. On abort, the outputs after the failing
+/// one are zeroed: the committed prefix the per-op schedule leaves.
+template <typename Exec, typename Layout, typename Qualify>
+void fault_skip_walk(const Layout& layout, std::size_t outputs, Exec& exec,
+                     LeakyBucket& bucket, ExecutionReport& report,
+                     float* out, const Qualify& qualify) {
+  const std::uint64_t total = layout.ops_before(outputs);
+  std::uint64_t done = 0;  // logical ops of the outputs committed so far
+  for (;;) {
+    // Op `clean` (counted from `done`) holds the next faulty execution;
+    // every op before it runs all of its kRedundancy executions clean.
+    const std::uint64_t clean =
+        exec.clean_executions_ahead() / Exec::kRedundancy;
+    const std::size_t hit =
+        clean < total - done ? layout.output_at(done + clean) : outputs;
+    const std::uint64_t credit = layout.ops_before(hit) - done;
+    exec.credit_fault_free_ops(credit);
+    bucket.record_successes(credit);
+    report.logical_ops += credit;
+    report.commits += credit;
+    if (hit == outputs) break;
+    if (!qualify(hit, layout.ops_before(hit))) {
+      std::fill(out + hit + 1, out + outputs, 0.0f);
+      return;
+    }
+    done = layout.ops_before(hit + 1);
+  }
+  report.bucket_peak = bucket.peak();
+  report.bucket_exhausted = bucket.exhausted();
+}
 
 /// Output-channel extent rounded up to the vector width, the lane
 /// padding the channel-lane pack uses.
@@ -257,7 +383,7 @@ HYBRIDCNN_CONTRACT(channel_pack_width(96) % runtime::isa::kFloatLanes == 0 &&
                    "padding is the tightest lane multiple (AlexNet conv1's "
                    "96 maps are the load-bearing case)");
 
-/// Channel-lane weight layout for the fault-free fast path: the OIHW
+/// Channel-lane weight layout for the raw-arithmetic compute: the OIHW
 /// weights repacked into [ky][kx][c][o] panels with the output-channel
 /// axis padded to the vector width, so every (c, ky, kx) tap of a
 /// channel block is one contiguous vector load. Padding lanes carry zero
@@ -300,91 +426,70 @@ inline WeightPack build_weight_pack(std::size_t oc, std::size_t in_c,
   return pack;
 }
 
-/// Qualified convolution inner kernel over a concrete executor type.
-/// Loop nest order (o, oy, ox, c, ky, kx), committed outputs, op_index
-/// accounting and abort semantics are exactly those of the generic path.
+/// Recomputes output `index` (flat (o, oy, ox)) through the qualified
+/// schedule, starting at flat op index `first_op`: the (c, ky, kx) loop,
+/// committed values, op_index accounting and abort semantics are exactly
+/// those of the generic path. Stores the committed accumulator and
+/// returns false after a persistent error.
 template <typename Exec>
-void conv_forward_qualified(const ConvPlan& plan, const float* input,
-                            const float* weights, const float* bias,
-                            const ReliabilityPolicy& policy, Exec& exec,
-                            ReliableResult& result) {
-  ExecutionReport& report = result.report;
-  LeakyBucket bucket(policy.bucket_factor, policy.bucket_ceiling);
-  QualifiedOpRunner<Exec> runner{exec, report, bucket,
-                                 policy.max_retries_per_op};
-  float* out = result.output.data().data();
+bool conv_qualify_output(const ConvPlan& plan, const float* input,
+                         const float* weights, const float* bias,
+                         std::size_t index, std::uint64_t first_op,
+                         QualifiedOpRunner<Exec>& runner, float* out) {
+  const std::size_t o = index / (plan.out_h * plan.out_w);
+  const std::size_t oy = index / plan.out_w % plan.out_h;
+  const std::size_t ox = index % plan.out_w;
+  const TapRange ry = plan.row_taps[oy];
+  const TapRange rx = plan.col_taps[ox];
+  auto op_index = static_cast<std::int64_t>(first_op);
+  // The accumulator starts from the bias, loaded from (assumed
+  // ECC-protected) parameter memory; all arithmetic on it is qualified.
+  ScalarCheckpoint acc(bias[o]);
+  const bool ok = [&] {
+    for (std::size_t c = 0; c < plan.in_c; ++c) {
+      for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
+        // iy/ix are non-negative by construction of the tap ranges:
+        // ky >= pad - oy*stride, so the unsigned arithmetic is safe.
+        const std::size_t iy = oy * plan.stride + ky - plan.pad;
+        const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
+        const float* w_row =
+            weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
+        for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
+          const std::size_t ix = ox * plan.stride + kx - plan.pad;
+          const float x = input[in_base + ix];
+          const float w = w_row[kx];
 
-  std::int64_t op_index = 0;
-  const auto abort_with = [&](std::int64_t failed_at) {
-    report.ok = false;
-    report.failed_op_index = failed_at;
-    report.bucket_peak = bucket.peak();
-    report.bucket_exhausted = bucket.exhausted();
-  };
-
-  for (std::size_t o = 0; o < plan.out_c; ++o) {
-    const float b = bias[o];
-    for (std::size_t oy = 0; oy < plan.out_h; ++oy) {
-      const TapRange ry = plan.row_taps[oy];
-      for (std::size_t ox = 0; ox < plan.out_w; ++ox) {
-        const TapRange rx = plan.col_taps[ox];
-        // The accumulator starts from the bias, loaded from (assumed
-        // ECC-protected) parameter memory; all arithmetic on it is
-        // qualified.
-        ScalarCheckpoint acc(b);
-        bool aborted = false;
-        for (std::size_t c = 0; c < plan.in_c && !aborted; ++c) {
-          for (std::size_t ky = ry.begin; ky < ry.end && !aborted; ++ky) {
-            // iy/ix are non-negative by construction of the tap ranges:
-            // ky >= pad - oy*stride, so the unsigned arithmetic is safe.
-            const std::size_t iy = oy * plan.stride + ky - plan.pad;
-            const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
-            const float* w_row =
-                weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
-            for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
-              const std::size_t ix = ox * plan.stride + kx - plan.pad;
-              const float x = input[in_base + ix];
-              const float w = w_row[kx];
-
-              // Qualified multiply, checkpointed into a product cell.
-              ScalarCheckpoint prod(0.0f);
-              const auto p = runner.run(
-                  [x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
-              ++op_index;
-              if (!p) {
-                abort_with(op_index - 1);
-                aborted = true;
-                break;
-              }
-
-              // Qualified accumulate onto the committed accumulator.
-              const float before = acc.value();
-              const float pv = *p;
-              const auto s = runner.run(
-                  [before, pv](Exec& e) { return e.add_inline(before, pv); },
-                  acc);
-              ++op_index;
-              if (!s) {
-                abort_with(op_index - 1);
-                aborted = true;
-                break;
-              }
-            }
+          // Qualified multiply, checkpointed into a product cell.
+          ScalarCheckpoint prod(0.0f);
+          const auto p = runner.run(
+              [x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
+          if (!p) {
+            runner.abort_at(op_index);
+            return false;
           }
-        }
-        out[(o * plan.out_h + oy) * plan.out_w + ox] = acc.value();
-        if (aborted) {
-          // Error propagation stops here: committed prefix is returned,
-          // the failure is reported, nothing downstream consumes
-          // unqualified values.
-          return;
+          ++op_index;
+
+          // Qualified accumulate onto the committed accumulator.
+          const float before = acc.value();
+          const float pv = *p;
+          const auto s = runner.run(
+              [before, pv](Exec& e) { return e.add_inline(before, pv); },
+              acc);
+          if (!s) {
+            runner.abort_at(op_index);
+            return false;
+          }
+          ++op_index;
         }
       }
     }
-  }
-
-  report.bucket_peak = bucket.peak();
-  report.bucket_exhausted = bucket.exhausted();
+    return true;
+  }();
+  // On abort, error propagation stops here: the committed prefix is
+  // returned, the failure is reported, nothing downstream consumes
+  // unqualified values.
+  out[index] = acc.value();
+  return ok;
 }
 
 /// Every fault-free output pixel of one output channel, scalar form —
@@ -546,12 +651,12 @@ inline void conv_channel_unit(const ConvPlan& plan, const WeightPack& pack,
   }
 }
 
-/// Fault-free convolution fast path: channel lanes over the repacked
-/// weights, fanned across the global pool in (block group, output row)
-/// units. Every output element is computed by exactly one unit in the
-/// scalar per-pixel reduction order, and the elided qualified
-/// bookkeeping is credited in closed form by the caller after the join,
-/// so outputs and statistics are bit-identical at every thread count.
+/// Raw-arithmetic convolution: channel lanes over the repacked weights,
+/// fanned across the global pool in (block group, output row) units.
+/// Every output element is computed by exactly one unit in the scalar
+/// per-pixel reduction order, and the fault-skip walk credits the elided
+/// qualified bookkeeping after the join, so outputs and statistics are
+/// bit-identical at every thread count.
 /// Inside an outer parallel region (batched classify, campaign fan-out)
 /// the pool serialises the nested fan inline.
 inline void conv_raw_compute(const ConvPlan& plan, const WeightPack& pack,
@@ -569,6 +674,27 @@ inline void conv_raw_compute(const ConvPlan& plan, const WeightPack& pack,
                             u % plan.out_h, out);
         }
       });
+}
+
+/// Fault-skip qualified convolution: the whole layer as channel-lane raw
+/// arithmetic, then fault_skip_walk over the outputs, recomputing each
+/// one that holds a fault with conv_qualify_output.
+template <typename Exec>
+void conv_forward_fault_skip(const ConvPlan& plan, const WeightPack& pack,
+                             const float* input, const float* weights,
+                             const float* bias,
+                             const ReliabilityPolicy& policy, Exec& exec,
+                             ReliableResult& result) {
+  float* out = result.output.data().data();
+  conv_raw_compute(plan, pack, input, out);
+  LeakyBucket bucket(policy.bucket_factor, policy.bucket_ceiling);
+  QualifiedOpRunner<Exec> runner{exec, result.report, bucket,
+                                 policy.max_retries_per_op};
+  fault_skip_walk(plan, plan.outputs(), exec, bucket, result.report, out,
+                  [&](std::size_t index, std::uint64_t first_op) {
+                    return conv_qualify_output(plan, input, weights, bias,
+                                               index, first_op, runner, out);
+                  });
 }
 
 /// Unqualified (raw-arithmetic) convolution pass through a concrete
@@ -608,33 +734,18 @@ void conv_unqualified_inline(const ConvPlan& plan, const float* input,
   }
 }
 
-/// Qualified dense inner kernel over a concrete executor type; the linear
-/// analogue of conv_forward_qualified.
+/// Recomputes dense output `o` through the qualified schedule, starting
+/// at flat op index `first_op`; the linear analogue of
+/// conv_qualify_output.
 template <typename Exec>
-void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
-                              const float* input, const float* weights,
-                              const float* bias,
-                              const ReliabilityPolicy& policy, Exec& exec,
-                              ReliableResult& result) {
-  ExecutionReport& report = result.report;
-  LeakyBucket bucket(policy.bucket_factor, policy.bucket_ceiling);
-  QualifiedOpRunner<Exec> runner{exec, report, bucket,
-                                 policy.max_retries_per_op};
-  float* out = result.output.data().data();
-
-  std::int64_t op_index = 0;
-  const auto abort_with = [&](std::size_t o, std::int64_t failed_at,
-                              float committed) {
-    report.ok = false;
-    report.failed_op_index = failed_at;
-    report.bucket_peak = bucket.peak();
-    report.bucket_exhausted = bucket.exhausted();
-    out[o] = committed;
-  };
-
-  for (std::size_t o = 0; o < out_n; ++o) {
-    ScalarCheckpoint acc(bias[o]);
-    const float* w_row = weights + o * in_n;
+bool linear_qualify_output(std::size_t in_n, const float* input,
+                           const float* weights, const float* bias,
+                           std::size_t o, std::uint64_t first_op,
+                           QualifiedOpRunner<Exec>& runner, float* out) {
+  auto op_index = static_cast<std::int64_t>(first_op);
+  ScalarCheckpoint acc(bias[o]);
+  const float* w_row = weights + o * in_n;
+  const bool ok = [&] {
     for (std::size_t i = 0; i < in_n; ++i) {
       const float x = input[i];
       const float w = w_row[i];
@@ -642,32 +753,31 @@ void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
       ScalarCheckpoint prod(0.0f);
       const auto p =
           runner.run([x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
-      ++op_index;
       if (!p) {
-        abort_with(o, op_index - 1, acc.value());
-        return;
+        runner.abort_at(op_index);
+        return false;
       }
+      ++op_index;
 
       const float before = acc.value();
       const float pv = *p;
       const auto s = runner.run(
           [before, pv](Exec& e) { return e.add_inline(before, pv); }, acc);
-      ++op_index;
       if (!s) {
-        abort_with(o, op_index - 1, acc.value());
-        return;
+        runner.abort_at(op_index);
+        return false;
       }
+      ++op_index;
     }
-    out[o] = acc.value();
-  }
-
-  report.bucket_peak = bucket.peak();
-  report.bucket_exhausted = bucket.exhausted();
+    return true;
+  }();
+  out[o] = acc.value();
+  return ok;
 }
 
 /// Fault-free dense reduction, scalar form: same operation order as the
 /// qualified kernel. The body of ReliableLinear::reference_forward, the
-/// golden the neuron-lane fast path is diffed against.
+/// golden the neuron-lane raw compute is diffed against.
 inline void linear_raw_compute_scalar(std::size_t out_n, std::size_t in_n,
                                       const float* input,
                                       const float* weights, const float* bias,
@@ -682,7 +792,7 @@ inline void linear_raw_compute_scalar(std::size_t out_n, std::size_t in_n,
   }
 }
 
-/// Neuron-lane weight layout for the dense fast path: [out, in] weights
+/// Neuron-lane weight layout for the dense raw compute: [out, in] weights
 /// transposed into [in][padded_out] rows so each input step issues
 /// contiguous weight-vector loads across adjacent output neurons instead
 /// of lane-by-lane strided reads. Same lifetime rule as the conv
@@ -713,7 +823,7 @@ inline LinearWeightPack build_linear_pack(std::size_t out_n, std::size_t in_n,
   return pack;
 }
 
-/// Fault-free dense fast path: the channel-lane idea applied to the dense
+/// Raw-arithmetic dense layer: the channel-lane idea applied to the dense
 /// layer. Lane l of block b accumulates neuron b*lanes + l; every input
 /// element is one broadcast against contiguous weight vectors, blocks
 /// grouped like the conv channel blocks. Adjacent lanes are adjacent
@@ -768,6 +878,29 @@ inline void linear_raw_compute(const LinearWeightPack& pack,
     }
     blk += group;
   }
+}
+
+/// Fault-skip qualified dense layer: the neuron-lane raw compute, then
+/// fault_skip_walk recomputing each output that holds a fault with
+/// linear_qualify_output.
+template <typename Exec>
+void linear_forward_fault_skip(const LinearWeightPack& pack,
+                               const float* input, const float* weights,
+                               const float* bias,
+                               const ReliabilityPolicy& policy, Exec& exec,
+                               ReliableResult& result) {
+  float* out = result.output.data().data();
+  linear_raw_compute(pack, input, out);
+  LeakyBucket bucket(policy.bucket_factor, policy.bucket_ceiling);
+  QualifiedOpRunner<Exec> runner{exec, result.report, bucket,
+                                 policy.max_retries_per_op};
+  const DenseOpLayout layout{2 * static_cast<std::uint64_t>(pack.in_n)};
+  fault_skip_walk(layout, pack.out_n, exec, bucket, result.report, out,
+                  [&](std::size_t o, std::uint64_t first_op) {
+                    return linear_qualify_output(pack.in_n, input, weights,
+                                                 bias, o, first_op, runner,
+                                                 out);
+                  });
 }
 
 }  // namespace hybridcnn::reliable::detail

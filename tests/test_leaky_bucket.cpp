@@ -3,7 +3,10 @@
 // errors."
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "reliable/leaky_bucket.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -169,5 +172,54 @@ TEST_P(BucketBurst, SuccessHistoryDoesNotMaskBursts) {
 
 INSTANTIATE_TEST_SUITE_P(Factors, BucketBurst,
                          ::testing::Values(1u, 2u, 3u, 5u, 9u));
+
+// Bulk crediting (the fault-skip kernels drain the bucket once per clean
+// segment) must leave exactly the state n single successes leave, from
+// any level the error/success history can reach — including n = 0 and
+// n far past the level (floor 0), with and without a latched exhaustion.
+TEST(LeakyBucket, RecordSuccessesEqualsRepeatedRecordSuccess) {
+  hybridcnn::util::Rng rng(4242);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto factor = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
+    const auto ceiling = static_cast<std::uint32_t>(rng.uniform_int(1, 20));
+    LeakyBucket bulk(factor, ceiling);
+    LeakyBucket single(factor, ceiling);
+    const auto history = rng.uniform_int(0, 12);
+    for (std::int64_t h = 0; h < history; ++h) {
+      if (rng.bernoulli(0.4)) {
+        bulk.record_error();
+        single.record_error();
+      } else {
+        bulk.record_success();
+        single.record_success();
+      }
+    }
+    const std::uint32_t level_before = bulk.level();
+    const auto n = static_cast<std::uint64_t>(
+        rng.bernoulli(0.2) ? rng.uniform_int(0, 2)
+                           : rng.uniform_int(0, 2 * ceiling + 3));
+    bulk.record_successes(n);
+    for (std::uint64_t i = 0; i < n; ++i) single.record_success();
+    SCOPED_TRACE("trial " + std::to_string(trial) + " level " +
+                 std::to_string(level_before) + " n " + std::to_string(n));
+    EXPECT_EQ(bulk.level(), single.level());
+    EXPECT_EQ(bulk.peak(), single.peak());
+    EXPECT_EQ(bulk.successes(), single.successes());
+    EXPECT_EQ(bulk.errors(), single.errors());
+    EXPECT_EQ(bulk.exhausted(), single.exhausted());
+  }
+}
+
+TEST(LeakyBucket, RecordSuccessesFloorsAtZero) {
+  LeakyBucket b(2, 10);
+  b.record_error();
+  b.record_error();  // level 4
+  b.record_successes(3);
+  EXPECT_EQ(b.level(), 1u);
+  b.record_successes(1000000000000ull);
+  EXPECT_EQ(b.level(), 0u);
+  EXPECT_EQ(b.successes(), 1000000000003ull);
+  EXPECT_EQ(b.peak(), 4u);
+}
 
 }  // namespace

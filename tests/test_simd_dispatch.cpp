@@ -5,13 +5,16 @@
 // executor/injector state as the generic virtual-dispatch oracle —
 // across schemes, border/partial-block/multi-block geometries, stride
 // variants, a seeded random-geometry sweep and thread counts. Armed
-// injectors must bypass the vector path entirely (it exists only where no
-// fault can be injected), which the faulty cases here pin down.
+// injectors run the same vector compute and qualify only the outputs that
+// carry a fault; the armed sweep pins them to the oracle across every
+// fault kind, target and scheme, from sparse rates to aborting ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faultsim/bitflip.hpp"
@@ -30,9 +33,14 @@ using hybridcnn::faultsim::CampaignSummary;
 using hybridcnn::faultsim::FaultConfig;
 using hybridcnn::faultsim::FaultInjector;
 using hybridcnn::faultsim::FaultKind;
+using hybridcnn::faultsim::FaultTarget;
+using hybridcnn::faultsim::InjectorStats;
 using hybridcnn::reliable::ConvSpec;
+using hybridcnn::reliable::ExecutionReport;
 using hybridcnn::reliable::Executor;
+using hybridcnn::reliable::ExecutorStats;
 using hybridcnn::reliable::make_executor;
+using hybridcnn::reliable::ReliabilityPolicy;
 using hybridcnn::reliable::ReliableConv2d;
 using hybridcnn::reliable::ReliableLinear;
 using hybridcnn::reliable::ReliableResult;
@@ -62,14 +70,15 @@ const std::vector<Geometry> kGeometries = {
     {5 * kFloatLanes + 3, 3, 3, 2, 1, 17, 19},  // 4 + 2 blocks + tail
 };
 
-ReliableConv2d make_conv(const Geometry& g, std::uint64_t seed = 11) {
+ReliableConv2d make_conv(const Geometry& g, std::uint64_t seed = 11,
+                         ReliabilityPolicy policy = {}) {
   Rng rng(seed);
   Tensor weights(Shape{g.out_c, g.in_c, g.k, g.k});
   weights.fill_normal(rng, 0.0f, 0.5f);
   Tensor bias(Shape{g.out_c});
   bias.fill_normal(rng, 0.0f, 0.1f);
   return {std::move(weights), std::move(bias), ConvSpec{g.stride, g.pad},
-          {}};
+          policy};
 }
 
 Tensor make_input(const Geometry& g, std::uint64_t seed = 23) {
@@ -147,9 +156,12 @@ TEST(SimdDispatchConv, CleanInjectorCursorIsReplayedUnderSimd) {
   }
 }
 
-TEST(SimdDispatchConv, ArmedInjectorBypassesVectorPath) {
-  // With faults possible the kernel must stay on the qualified scalar
-  // engine: same bits, reports and injector draws as the generic oracle.
+TEST(SimdDispatchConv, ArmedInjectorSkipsToFaultsBitIdentically) {
+  // An armed injector runs the same body as a clean one: the vector raw
+  // compute covers the whole layer, the clean stretches between upsets
+  // are credited in bulk and only the outputs that carry a fault are
+  // recomputed on the qualified scalar engine — with the same bits,
+  // reports and injector draws as the generic oracle.
   FaultConfig cfg;
   cfg.kind = FaultKind::kTransient;
   cfg.probability = 2e-3;
@@ -402,6 +414,226 @@ TEST(RandomGeometrySweep, LinearFastPathMatchesReferenceAndGeneric) {
     }
   }
   ComputeContext::set_global_threads(1);
+}
+
+// ------------------------------------------- armed random-geometry sweep
+
+/// One armed fault environment of the sweep: kind, target, scheme, a
+/// rate from sparse (a few upsets per layer, long credited stretches
+/// between them, so the bucket must drain in bulk) to dense (persistent
+/// errors that abort DMR/TMR mid-layer, so the tail must be zeroed), and
+/// a bucket policy. The paper's factor 2 drains within an output or two
+/// of per-op successes; the slow-drain policy (factor 24) keeps the level
+/// up across a credited stretch, so a bulk drain to the wrong level
+/// shows in the next upset's bucket peak.
+struct ArmedCase {
+  FaultConfig faults;
+  const char* scheme;
+  ReliabilityPolicy policy;
+};
+
+std::vector<ArmedCase> armed_cases() {
+  struct Rate {
+    FaultKind kind;
+    double probability;
+    int num_pes;
+  };
+  const Rate rates[] = {
+      {FaultKind::kNone, 0.0, 7},           {FaultKind::kTransient, 2e-5, 128},
+      {FaultKind::kTransient, 4e-4, 128},   {FaultKind::kTransient, 5e-3, 16},
+      {FaultKind::kTransient, 0.08, 16},    {FaultKind::kIntermittent, 2e-5, 128},
+      {FaultKind::kIntermittent, 5e-4, 32}, {FaultKind::kIntermittent, 8e-3, 8},
+      {FaultKind::kPermanent, 0.01, 128},   {FaultKind::kPermanent, 0.1, 16},
+      {FaultKind::kPermanent, 0.4, 8},
+  };
+  std::vector<ArmedCase> cases;
+  for (const Rate& r : rates) {
+    for (const FaultTarget target :
+         {FaultTarget::kResult, FaultTarget::kOperandA,
+          FaultTarget::kOperandB}) {
+      for (const char* scheme : {"simplex", "dmr", "tmr"}) {
+        for (const auto& [factor, ceiling] :
+             {std::pair{2u, 4u}, std::pair{24u, 60u}}) {
+          ArmedCase c{};
+          c.faults.kind = r.kind;
+          c.faults.target = target;
+          c.faults.probability = r.probability;
+          c.faults.num_pes = r.num_pes;
+          c.faults.burst_continue = 0.6;
+          c.faults.bit = -1;
+          c.scheme = scheme;
+          c.policy.bucket_factor = factor;
+          c.policy.bucket_ceiling = ceiling;
+          cases.push_back(c);
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::string describe(const ArmedCase& c) {
+  return std::string(c.scheme) + " kind " +
+         std::to_string(static_cast<int>(c.faults.kind)) + " target " +
+         std::to_string(static_cast<int>(c.faults.target)) + " p " +
+         std::to_string(c.faults.probability) + " pes " +
+         std::to_string(c.faults.num_pes) + " bucket factor " +
+         std::to_string(c.policy.bucket_factor);
+}
+
+/// Everything observable about one forward: output, report, executor and
+/// injector state.
+struct ArmedRun {
+  ReliableResult result;
+  ExecutorStats exec;
+  InjectorStats injector;
+  int next_pe = 0;
+};
+
+template <typename Forward>
+ArmedRun run_armed(const ArmedCase& c, std::uint64_t seed,
+                   const Forward& forward) {
+  const auto exec = make_executor(
+      c.scheme, std::make_shared<FaultInjector>(c.faults, seed));
+  ArmedRun run{forward(*exec), exec->stats(), exec->injector()->stats(),
+               exec->injector()->next_pe()};
+  return run;
+}
+
+void expect_armed_equal(const ArmedRun& fast, const ArmedRun& oracle) {
+  expect_bits_equal(fast.result.output, oracle.result.output);
+  const ExecutionReport& a = fast.result.report;
+  const ExecutionReport& b = oracle.result.report;
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.logical_ops, b.logical_ops);
+  EXPECT_EQ(a.detected_errors, b.detected_errors);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.commits, b.commits);
+  EXPECT_EQ(a.bucket_peak, b.bucket_peak);
+  EXPECT_EQ(a.failed_op_index, b.failed_op_index);
+  EXPECT_TRUE(a == b) << "ExecutionReport differs";
+  EXPECT_EQ(fast.exec.logical_ops, oracle.exec.logical_ops);
+  EXPECT_EQ(fast.exec.executions, oracle.exec.executions);
+  EXPECT_EQ(fast.exec.disagreements, oracle.exec.disagreements);
+  EXPECT_EQ(fast.injector.executions, oracle.injector.executions);
+  EXPECT_EQ(fast.injector.faults, oracle.injector.faults);
+  EXPECT_EQ(fast.next_pe, oracle.next_pe);
+}
+
+/// Coverage the armed sweeps must reach for their verdict to mean
+/// anything: a layer that recovers from several upsets (so the bucket is
+/// drained in bulk between them), and an abort whose zeroed tail differs
+/// from the raw layer (so a tail left unzeroed would show).
+struct Coverage {
+  bool recovered_twice = false;
+  bool aborted_with_tail = false;
+
+  void note(const ExecutionReport& report, const Tensor& output,
+            const Tensor& raw) {
+    recovered_twice =
+        recovered_twice || (report.ok && report.corrected_errors >= 2);
+    if (report.ok) return;
+    for (std::size_t j = 0; j < output.count(); ++j) {
+      if (output[j] == 0.0f && raw[j] != 0.0f) aborted_with_tail = true;
+    }
+  }
+};
+
+TEST(RandomGeometrySweep, ArmedConvMatchesGenericAcrossKindsTargetsSchemes) {
+  const std::vector<ArmedCase> cases = armed_cases();
+  std::vector<Geometry> geometries = draw_sweep_geometries(cases.size());
+  for (std::size_t i = 0; i < geometries.size(); i += 3) {
+    // Every third case reduces over one or two taps of one channel, so
+    // upsets land on an output's first or last op and a credited stretch
+    // sits between two of them with no per-op successes around it.
+    Geometry& g = geometries[i];
+    g.in_c = 1;
+    g.k = 1 + i % 2;
+    g.pad = 0;
+    g.h = std::max(g.h, g.k);
+    g.w = std::max(g.w, g.k);
+  }
+  std::vector<ReliableConv2d> convs;
+  std::vector<Tensor> inputs;
+  std::vector<ArmedRun> oracles;  // serial: thread-independent
+  Coverage coverage;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    convs.push_back(make_conv(geometries[i], 300 + i, cases[i].policy));
+    inputs.push_back(make_input(geometries[i], 700 + i));
+    oracles.push_back(run_armed(cases[i], 900 + i, [&](Executor& exec) {
+      return convs[i].forward_generic(inputs[i], exec);
+    }));
+    coverage.note(oracles[i].result.report, oracles[i].result.output,
+                  convs[i].reference_forward(inputs[i]));
+  }
+  for (const std::size_t threads : {1, 2, 8}) {
+    ComputeContext::set_global_threads(threads);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE(describe(cases[i]) + " case " + std::to_string(i) + ": " +
+                   describe(geometries[i]) + " threads " +
+                   std::to_string(threads));
+      const ArmedRun fast =
+          run_armed(cases[i], 900 + i, [&](Executor& exec) {
+            return convs[i].forward(inputs[i], exec);
+          });
+      expect_armed_equal(fast, oracles[i]);
+    }
+  }
+  ComputeContext::set_global_threads(1);
+  EXPECT_TRUE(coverage.recovered_twice)
+      << "the sweep must recover from several upsets in one layer";
+  EXPECT_TRUE(coverage.aborted_with_tail)
+      << "the sweep must abort with a visible zeroed tail";
+}
+
+TEST(RandomGeometrySweep, ArmedLinearMatchesGenericAcrossKindsTargetsSchemes) {
+  const std::vector<ArmedCase> cases = armed_cases();
+  Rng rng(31337);
+  std::vector<ReliableLinear> linears;
+  std::vector<Tensor> inputs;
+  std::vector<ArmedRun> oracles;
+  Coverage coverage;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    // Every third case is many one- or two-input neurons (see the conv
+    // sweep); the rest straddle the lane blocks with long reductions.
+    const bool tiny = i % 3 == 0;
+    const auto out_n = static_cast<std::size_t>(
+        tiny ? rng.uniform_int(64, 256)
+             : rng.uniform_int(
+                   1, 3 * static_cast<std::int64_t>(kFloatLanes) + 3));
+    const auto in_n = static_cast<std::size_t>(
+        tiny ? rng.uniform_int(1, 2) : rng.uniform_int(1, 300));
+    Tensor weights(Shape{out_n, in_n});
+    weights.fill_normal(rng, 0.0f, 0.4f);
+    Tensor bias(Shape{out_n});
+    bias.fill_normal(rng, 0.0f, 0.1f);
+    linears.emplace_back(weights, bias, cases[i].policy);
+    Tensor input(Shape{in_n});
+    input.fill_normal(rng, 0.0f, 1.0f);
+    inputs.push_back(std::move(input));
+    oracles.push_back(run_armed(cases[i], 1900 + i, [&](Executor& exec) {
+      return linears[i].forward_generic(inputs[i], exec);
+    }));
+    coverage.note(oracles[i].result.report, oracles[i].result.output,
+                  linears[i].reference_forward(inputs[i]));
+  }
+  for (const std::size_t threads : {1, 2, 8}) {
+    ComputeContext::set_global_threads(threads);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE(describe(cases[i]) + " case " + std::to_string(i) +
+                   " threads " + std::to_string(threads));
+      const ArmedRun fast =
+          run_armed(cases[i], 1900 + i, [&](Executor& exec) {
+            return linears[i].forward(inputs[i], exec);
+          });
+      expect_armed_equal(fast, oracles[i]);
+    }
+  }
+  ComputeContext::set_global_threads(1);
+  EXPECT_TRUE(coverage.recovered_twice)
+      << "the sweep must recover from several upsets in one layer";
+  EXPECT_TRUE(coverage.aborted_with_tail)
+      << "the sweep must abort with a visible zeroed tail";
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "faultsim/bitflip.hpp"
@@ -220,24 +221,37 @@ TEST(StaticDispatchConv, FaultFreeFastPathWithNullInjector) {
 TEST(StaticDispatchConv, FaultFreeFastPathReplaysInjectorCursor) {
   // A non-null injector of kind kNone still counts executions and
   // advances the round-robin PE cursor on every filter() call; the fast
-  // path must replay both in bulk (advance_clean) bit-identically.
+  // path must replay both in bulk (advance_clean) bit-identically. A
+  // sparse armed injector takes the same path between its upsets, so its
+  // countdown and cursor must be replayed exactly too.
   for (const char* scheme : {"simplex", "dmr", "tmr"}) {
-    SCOPED_TRACE(scheme);
-    const Geometry& g = kGeometries[2];
-    const ReliableConv2d conv = make_conv(g);
-    const Tensor input = make_input(g);
-    FaultConfig cfg = config_for(FaultKind::kNone);
-    cfg.num_pes = 7;  // prime-ish so the cursor position is interesting
-    const auto fast_exec =
-        make_executor(scheme, std::make_shared<FaultInjector>(cfg, 3));
-    const auto oracle_exec =
-        make_executor(scheme, std::make_shared<FaultInjector>(cfg, 3));
-    const ReliableResult fast = conv.forward(input, *fast_exec);
-    const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
-    ASSERT_GT(fast_exec->injector()->stats().executions, 0u);
-    expect_outputs_bit_identical(fast.output, oracle.output);
-    expect_reports_equal(fast.report, oracle.report);
-    expect_executors_equal(*fast_exec, *oracle_exec);
+    for (const FaultKind kind : {FaultKind::kNone, FaultKind::kTransient}) {
+      SCOPED_TRACE(std::string(scheme) + " kind " +
+                   std::to_string(static_cast<int>(kind)));
+      const Geometry& g = kGeometries[2];
+      const ReliableConv2d conv = make_conv(g);
+      const Tensor input = make_input(g);
+      FaultConfig cfg = config_for(kind);
+      cfg.num_pes = 7;  // prime-ish so the cursor position is interesting
+      if (kind == FaultKind::kTransient) cfg.probability = 4e-4;
+      const auto fast_exec =
+          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 3));
+      const auto oracle_exec =
+          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 3));
+      const ReliableResult fast = conv.forward(input, *fast_exec);
+      const ReliableResult oracle =
+          conv.forward_generic(input, *oracle_exec);
+      ASSERT_GT(fast_exec->injector()->stats().executions, 0u);
+      if (kind == FaultKind::kTransient) {
+        // Sparse: at least one upset, far fewer than outputs.
+        EXPECT_GT(oracle_exec->injector()->stats().faults, 0u);
+        EXPECT_LT(oracle_exec->injector()->stats().faults,
+                  fast.output.count() / 4);
+      }
+      expect_outputs_bit_identical(fast.output, oracle.output);
+      expect_reports_equal(fast.report, oracle.report);
+      expect_executors_equal(*fast_exec, *oracle_exec);
+    }
   }
 }
 
@@ -368,16 +382,29 @@ TEST(StaticDispatchLayerDmr, MatchesGenericFaultFreeAndFaulty) {
   const LayerDmrConv2d layer(ref.weights(), ref.bias(), ref.spec(), policy);
   const Tensor input = make_input(g);
 
-  for (const FaultKind kind :
-       {FaultKind::kNone, FaultKind::kTransient, FaultKind::kPermanent}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    const FaultConfig cfg = config_for(kind);
+  // A sparse transient rate (a mean gap of about one layer pass) mixes
+  // passes that fit before the next upset — raw arithmetic, credited in
+  // closed form — with passes that carry one and run per op.
+  FaultConfig sparse = config_for(FaultKind::kTransient);
+  sparse.probability = 1e-4;
+  for (const FaultConfig& cfg :
+       {config_for(FaultKind::kNone), config_for(FaultKind::kTransient),
+        sparse, config_for(FaultKind::kPermanent)}) {
+    SCOPED_TRACE(std::to_string(static_cast<int>(cfg.kind)) + " p " +
+                 std::to_string(cfg.probability));
     const auto fast_exec =
         make_executor("simplex", std::make_shared<FaultInjector>(cfg, 77));
     const auto oracle_exec =
         make_executor("simplex", std::make_shared<FaultInjector>(cfg, 77));
     const ReliableResult fast = layer.forward(input, *fast_exec);
     const ReliableResult oracle = layer.forward_generic(input, *oracle_exec);
+    if (cfg.probability == sparse.probability) {
+      // A pass holding an upset runs per op; with more passes than
+      // upsets, at least one pass held none and ran as raw arithmetic.
+      const std::uint64_t faults = oracle_exec->injector()->stats().faults;
+      EXPECT_GT(faults, 0u);
+      EXPECT_GT(2 * (oracle.report.retries + 1), faults);
+    }
     expect_outputs_bit_identical(fast.output, oracle.output);
     expect_reports_equal(fast.report, oracle.report);
     expect_executors_equal(*fast_exec, *oracle_exec);

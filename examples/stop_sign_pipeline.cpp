@@ -8,6 +8,7 @@
 // of Figure 1.
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "core/hybrid_network.hpp"
 #include "data/dataset.hpp"
@@ -45,7 +46,8 @@ int main() {
 
   core::HybridConfig config;
   config.critical_classes = {static_cast<int>(SignClass::kStop)};
-  core::HybridNetwork hybrid(make_net(), 0, config);
+  auto cnn = make_net();
+  core::install_dependable_filters(*cnn, 0, config);
 
   std::printf("training the CNN branch (dependable Sobel filter frozen)...\n");
   data::DatasetConfig dcfg;
@@ -55,9 +57,10 @@ int main() {
   tc.epochs = 6;
   tc.batch_size = 25;
   tc.learning_rate = 0.01f;
-  const auto history = nn::train(hybrid.cnn(), train_data, tc);
+  const auto history = nn::train(*cnn, train_data, tc);
   std::printf("final epoch: loss=%.3f train-accuracy=%.3f\n",
               history.back().mean_loss, history.back().train_accuracy);
+  const core::HybridNetwork hybrid(std::move(cnn), 0, config);
 
   util::Table table("hybrid decisions on fresh renders",
                     {"true class", "predicted", "confidence", "qualifier",

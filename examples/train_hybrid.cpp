@@ -5,8 +5,10 @@
 //     hard-frozen) and observe the filter drift the paper reported with
 //     TensorFlow's imperfect freezing;
 //  3. verify accuracy is unaffected by pinning the dependable filter;
-//  4. wrap the frozen-filter model into the hybrid network and classify.
+//  4. train a frozen-filter model, wrap it into the hybrid network and
+//     classify.
 #include <cstdio>
+#include <utility>
 
 #include "core/hybrid_network.hpp"
 #include "data/dataset.hpp"
@@ -60,16 +62,18 @@ int main() {
   cfg.critical_classes = {static_cast<int>(data::SignClass::kStop)};
   // MiniCNN's 32x32 input is too coarse for the octagon qualifier, so the
   // hybrid uses the full-resolution qualifier source on the same frame —
-  // exactly the trade-off DESIGN.md documents.
-  core::HybridNetwork hybrid(
-      nn::make_minicnn({.num_classes = data::kNumClasses,
-                        .conv1_filters = 12, .seed = 23}),
-      nn::kMiniCnnConv1, cfg);
+  // exactly the trade-off DESIGN.md documents. The dependable filter is
+  // installed and frozen before training, and the trained model is
+  // wrapped afterwards.
+  auto cnn = nn::make_minicnn({.num_classes = data::kNumClasses,
+                               .conv1_filters = 12, .seed = 23});
+  core::install_dependable_filters(*cnn, nn::kMiniCnnConv1, cfg);
   nn::TrainConfig tc;
   tc.epochs = 6;
   tc.batch_size = 25;
   tc.learning_rate = 0.01f;
-  nn::train(hybrid.cnn(), train_data, tc);
+  nn::train(*cnn, train_data, tc);
+  const core::HybridNetwork hybrid(std::move(cnn), nn::kMiniCnnConv1, cfg);
 
   data::RenderParams p;
   p.cls = data::SignClass::kStop;

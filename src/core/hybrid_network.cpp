@@ -16,19 +16,12 @@
 
 namespace hybridcnn::core {
 
-HybridNetwork::HybridNetwork(std::unique_ptr<nn::Sequential> cnn,
-                             std::size_t conv1_index, HybridConfig config)
-    : cnn_(std::move(cnn)),
-      conv1_index_(conv1_index),
-      config_(std::move(config)),
-      safety_(config_.critical_classes),
-      qualifier_(config_.qualifier),
-      scheme_id_(reliable::parse_scheme(config_.scheme)) {
-  if (!cnn_) throw std::invalid_argument("HybridNetwork: null cnn");
-  auto& conv1 = cnn_->layer_as<nn::Conv2d>(conv1_index_);
+void install_dependable_filters(nn::Sequential& cnn, std::size_t conv1_index,
+                                const HybridConfig& config) {
+  auto& conv1 = cnn.layer_as<nn::Conv2d>(conv1_index);
   const bool pair =
-      config_.qualifier.source == QualifierSource::kDependableFeatureMapPair;
-  if (config_.dependable_filter + (pair ? 1 : 0) >= conv1.out_channels()) {
+      config.qualifier.source == QualifierSource::kDependableFeatureMapPair;
+  if (config.dependable_filter + (pair ? 1 : 0) >= conv1.out_channels()) {
     throw std::invalid_argument(
         "HybridNetwork: dependable_filter out of range");
   }
@@ -37,27 +30,47 @@ HybridNetwork::HybridNetwork(std::unique_ptr<nn::Sequential> cnn,
   // Default: the paper's single x/y/x filter. Pair extension: pure x and
   // pure y filters so the qualifier can form a true gradient magnitude.
   if (pair) {
-    conv1.set_filter(config_.dependable_filter,
+    conv1.set_filter(config.dependable_filter,
                      nn::sobel_axis_filter(conv1.in_channels(),
                                            conv1.kernel(),
                                            nn::SobelAxis::kX));
-    conv1.set_filter(config_.dependable_filter + 1,
+    conv1.set_filter(config.dependable_filter + 1,
                      nn::sobel_axis_filter(conv1.in_channels(),
                                            conv1.kernel(),
                                            nn::SobelAxis::kY));
-    conv1.set_filter_frozen(config_.dependable_filter + 1, true);
+    conv1.set_filter_frozen(config.dependable_filter + 1, true);
   } else {
-    conv1.set_filter(config_.dependable_filter,
+    conv1.set_filter(config.dependable_filter,
                      nn::sobel_filter(conv1.in_channels(), conv1.kernel()));
   }
-  conv1.set_filter_frozen(config_.dependable_filter, true);
+  conv1.set_filter_frozen(config.dependable_filter, true);
 }
 
-reliable::ReliableConv2d HybridNetwork::make_reliable_conv1() const {
-  const auto& conv1 = cnn_->layer_as<nn::Conv2d>(conv1_index_);
+namespace {
+
+/// Installs the dependable filters into `cnn` and builds the reliable
+/// kernel from its conv1: the constructor's only ReliableConv2d.
+reliable::ReliableConv2d dependable_conv1(nn::Sequential* cnn,
+                                          std::size_t conv1_index,
+                                          const HybridConfig& config) {
+  if (cnn == nullptr) throw std::invalid_argument("HybridNetwork: null cnn");
+  install_dependable_filters(*cnn, conv1_index, config);
+  const auto& conv1 = cnn->layer_as<nn::Conv2d>(conv1_index);
   return {conv1.weights(), conv1.bias(),
-          reliable::ConvSpec{conv1.stride(), conv1.pad()}, config_.policy};
+          reliable::ConvSpec{conv1.stride(), conv1.pad()}, config.policy};
 }
+
+}  // namespace
+
+HybridNetwork::HybridNetwork(std::unique_ptr<nn::Sequential> cnn,
+                             std::size_t conv1_index, HybridConfig config)
+    : cnn_(std::move(cnn)),
+      conv1_index_(conv1_index),
+      config_(std::move(config)),
+      safety_(config_.critical_classes),
+      qualifier_(config_.qualifier),
+      scheme_id_(reliable::parse_scheme(config_.scheme)),
+      rconv1_(dependable_conv1(cnn_.get(), conv1_index_, config_)) {}
 
 HybridNetwork::DependableStage HybridNetwork::dependable_stage(
     const reliable::ReliableConv2d& rconv, const tensor::Tensor& image,
@@ -174,8 +187,7 @@ HybridClassification HybridNetwork::classify(const tensor::Tensor& image,
   if (image.shape().rank() != 3) {
     throw std::invalid_argument("HybridNetwork::classify: expected CHW");
   }
-  const reliable::ReliableConv2d rconv = make_reliable_conv1();
-  return run_remainder(dependable_stage(rconv, image, seeds.take()),
+  return run_remainder(dependable_stage(rconv1_, image, seeds.take()),
                        runtime::ComputeContext::global().workspace());
 }
 
@@ -198,7 +210,6 @@ HybridNetwork::IntermittentResult HybridNetwork::classify_intermittent(
         "HybridNetwork::classify_intermittent: expected CHW");
   }
   const std::uint64_t seed = seeds.take();
-  const reliable::ReliableConv2d rconv = make_reliable_conv1();
   runtime::Workspace& ws = runtime::ComputeContext::global().workspace();
 
   // Step 0: the dependable stage (reliable conv1 + qualifier), committed
@@ -243,7 +254,7 @@ HybridNetwork::IntermittentResult HybridNetwork::classify_intermittent(
   while (next < total_steps) {
     ++result.steps_executed;
     if (next == 0) {
-      DependableStage stage = dependable_stage(rconv, image, seed);
+      DependableStage stage = dependable_stage(rconv1_, image, seed);
       if (!power.step()) {  // power failed mid-step: work lost
         next = reboot(result);
         continue;
@@ -295,9 +306,6 @@ std::vector<HybridClassification> HybridNetwork::classify_indexed(
     std::uint64_t seed_base, const std::uint64_t* seeds) const {
   if (count == 0) return {};
 
-  // One reliable kernel (weight copy and fast-path pack) for the whole
-  // batch, shared read-only by every image.
-  const reliable::ReliableConv2d rconv = make_reliable_conv1();
   const auto seed_of = [&](std::size_t i) {
     return seeds != nullptr ? seeds[i] : seed_base + i;
   };
@@ -311,8 +319,8 @@ std::vector<HybridClassification> HybridNetwork::classify_indexed(
   // Nested parallel regions inside the reliable/vision/GEMM code
   // serialise inline.
   ctx.pool().parallel_for(0, count, [&](std::size_t i) {
-    results[i] = run_remainder(dependable_stage(rconv, *images[i], seed_of(i)),
-                               ctx.workspace());
+    results[i] = run_remainder(
+        dependable_stage(rconv1_, *images[i], seed_of(i)), ctx.workspace());
   });
   return results;
 }
@@ -396,8 +404,7 @@ HybridNetwork::CostSplit HybridNetwork::cost_split(
   }
   CostSplit split;
 
-  const reliable::ReliableConv2d rconv = make_reliable_conv1();
-  split.reliable_macs = rconv.mac_count(input_shape);
+  split.reliable_macs = rconv1_.mac_count(input_shape);
   if (config_.qualifier.source == QualifierSource::kFullResolution) {
     // Two 3x3 Sobel filters over the luminance plane. The qualifier is
     // extra work the hybrid adds, so it counts into both sides.
@@ -408,10 +415,8 @@ HybridNetwork::CostSplit HybridNetwork::cost_split(
   }
 
   // Walk the network propagating shapes to count every layer's MACs.
-  std::size_t c = input_shape[0];
   std::size_t h = input_shape[1];
   std::size_t w = input_shape[2];
-  std::size_t features = 0;  // once flattened
   for (std::size_t i = 0; i < cnn_->size(); ++i) {
     const nn::Layer& l = cnn_->layer(i);
     if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&l)) {
@@ -420,7 +425,6 @@ HybridNetwork::CostSplit HybridNetwork::cost_split(
       split.total_macs += static_cast<std::uint64_t>(conv->out_channels()) *
                           oh * ow * conv->in_channels() * conv->kernel() *
                           conv->kernel();
-      c = conv->out_channels();
       h = oh;
       w = ow;
     } else if (const auto* pool = dynamic_cast<const nn::MaxPool*>(&l)) {
@@ -429,12 +433,8 @@ HybridNetwork::CostSplit HybridNetwork::cost_split(
     } else if (const auto* fc = dynamic_cast<const nn::Linear*>(&l)) {
       split.total_macs +=
           static_cast<std::uint64_t>(fc->out_features()) * fc->in_features();
-      features = fc->out_features();
-    } else if (l.name() == "flatten") {
-      features = c * h * w;
-      (void)features;
     }
-    // relu/lrn/softmax/dropout contribute no MACs.
+    // relu/lrn/softmax/dropout/flatten contribute no MACs.
   }
   return split;
 }

@@ -77,12 +77,24 @@ struct CheckpointMemoryModel {
   bool ecc = false;  ///< SEC-DED protect the slot + scrub on reboot
 };
 
+/// DCNN pre-initialisation (Section III.B): installs the Sobel filter
+/// `config.dependable_filter` of the Conv2d at `conv1_index` — or, for
+/// the pair qualifier source, pure x and y filters at that index and the
+/// next — and freezes them so training cannot disturb them. Run it
+/// before nn::train; HybridNetwork's constructor runs it again on the
+/// model it wraps, which changes no bit of a model trained this way.
+/// Throws std::invalid_argument when the filter index is out of range
+/// and std::bad_cast when `conv1_index` is not a Conv2d.
+void install_dependable_filters(nn::Sequential& cnn, std::size_t conv1_index,
+                                const HybridConfig& config);
+
 /// The hybrid (reliable/non-reliable) network.
 class HybridNetwork {
  public:
-  /// Takes ownership of `cnn`. `conv1_index` must name a Conv2d layer;
-  /// the layers [conv1_index + 1, ...) form the non-reliable remainder.
-  /// The dependable filter of conv1 is Sobel pre-initialised and frozen.
+  /// Takes ownership of the (already trained) `cnn`. `conv1_index` must
+  /// name a Conv2d layer; the layers [conv1_index + 1, ...) form the
+  /// non-reliable remainder. Runs install_dependable_filters on the
+  /// model, then builds the reliable conv1 kernel once from it.
   HybridNetwork(std::unique_ptr<nn::Sequential> cnn, std::size_t conv1_index,
                 HybridConfig config = {});
 
@@ -106,10 +118,10 @@ class HybridNetwork {
   [[nodiscard]] HybridClassification classify(const tensor::Tensor& image,
                                               FaultSeedStream& seeds) const;
 
-  /// Batched classification: the reliable conv1 kernel is built once for
-  /// the whole batch and the complete per-image pipeline — reliable DCNN,
-  /// qualifier AND the non-reliable CNN remainder (a const re-entrant
-  /// inference) — fans out across the global runtime::ThreadPool, each
+  /// Batched classification: the complete per-image pipeline — reliable
+  /// DCNN, qualifier AND the non-reliable CNN remainder (a const
+  /// re-entrant inference) — fans out across the global
+  /// runtime::ThreadPool, sharing the network's reliable conv1 kernel, each
   /// image drawing scratch from the executing slot's Workspace arena.
   /// Image i consumes seed `seeds.peek() + i` — exactly the stream a
   /// loop of classify() calls would consume — so the returned results
@@ -130,7 +142,7 @@ class HybridNetwork {
   /// classify_repeat(image, runs, seeds), then `judge(run, result)` maps
   /// each classification to a dependability outcome, reduced in run
   /// order. Construction (network, reliable kernel, qualifier templates)
-  /// is amortised across the whole campaign.
+  /// is paid once, when the network is built.
   [[nodiscard]] faultsim::CampaignSummary classify_campaign(
       const tensor::Tensor& image, std::size_t runs,
       const std::function<faultsim::Outcome(
@@ -210,14 +222,21 @@ class HybridNetwork {
     return FaultSeedStream(config_.fault_seed);
   }
 
-  /// Index of the reliably executed conv1 layer inside cnn().
+  /// Index of the Conv2d layer in cnn() that reliable_conv1() executes.
   [[nodiscard]] std::size_t conv1_index() const noexcept {
     return conv1_index_;
   }
 
-  /// The wrapped CNN (e.g. for training or filter surgery).
-  [[nodiscard]] nn::Sequential& cnn() noexcept { return *cnn_; }
+  /// The wrapped CNN, read-only: train before wrapping.
   [[nodiscard]] const nn::Sequential& cnn() const noexcept { return *cnn_; }
+
+  /// The reliable conv1 kernel every entry point runs, built once at
+  /// construction from conv1's weights, bias and geometry under
+  /// `config().policy`.
+  [[nodiscard]] const reliable::ReliableConv2d& reliable_conv1()
+      const noexcept {
+    return rconv1_;
+  }
 
   [[nodiscard]] const HybridConfig& config() const noexcept {
     return config_;
@@ -244,8 +263,6 @@ class HybridNetwork {
     QualifierVerdict qualifier;
     bool reliable_ok = false;
   };
-
-  [[nodiscard]] reliable::ReliableConv2d make_reliable_conv1() const;
 
   /// Reliable DCNN + qualifier for one image with an explicit fault
   /// seed. Pure function of (weights, image, seed) — safe to run from
@@ -283,6 +300,7 @@ class HybridNetwork {
   /// early), so per-image executor construction dispatches on the enum
   /// instead of re-parsing the scheme string on every classification.
   reliable::Scheme scheme_id_;
+  reliable::ReliableConv2d rconv1_;
 };
 
 }  // namespace hybridcnn::core

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "faultsim/ecc.hpp"
-#include "nn/conv2d.hpp"
 #include "util/rng.hpp"
 
 namespace hybridcnn::core {
@@ -70,10 +69,6 @@ MemoryFaultCampaign::MemoryFaultCampaign(const HybridNetwork& net,
     throw std::invalid_argument(
         "MemoryFaultCampaign: scrub_interval must be >= 1");
   }
-  const auto& conv1 = net.cnn().layer_as<nn::Conv2d>(net.conv1_index());
-  weights_ = conv1.weights();
-  bias_ = conv1.bias();
-  spec_ = reliable::ConvSpec{conv1.stride(), conv1.pad()};
 }
 
 faultsim::MemoryCampaignSummary MemoryFaultCampaign::run(
@@ -95,7 +90,7 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
         "MemoryFaultCampaign::run_range: run_end < run_begin");
   }
   const std::size_t count = run_end - run_begin;
-  const reliable::ReliabilityPolicy& policy = net_->config().policy;
+  const reliable::ReliableConv2d& pristine_rconv = net_->reliable_conv1();
 
   // Golden reference. With no compute faults armed the fault-free hybrid
   // path is seed-independent, so one golden serves every run (any seed
@@ -105,8 +100,6 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
   // memory effect.
   const bool compute_faults_armed =
       net_->config().fault_config.kind != faultsim::FaultKind::kNone;
-  const reliable::ReliableConv2d pristine_rconv(weights_, bias_, spec_,
-                                                policy);
   HybridClassification shared_golden;
   if (!compute_faults_armed) {
     shared_golden =
@@ -128,7 +121,7 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
     const std::size_t epochs = (i % config_.scrub_interval) + 1;
 
     // ---- Corrupt the stored weights (optionally behind SEC-DED). ----
-    tensor::Tensor weights = weights_;
+    tensor::Tensor weights = pristine_rconv.weights();
     bool ecc_uncorrectable = false;
     if (targets_weights(config_.model.target)) {
       if (config_.ecc) {
@@ -170,8 +163,9 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
       return;
     }
 
-    const reliable::ReliableConv2d rconv(std::move(weights), bias_, spec_,
-                                         policy);
+    const reliable::ReliableConv2d rconv(
+        std::move(weights), pristine_rconv.bias(), pristine_rconv.spec(),
+        pristine_rconv.policy());
     const HybridClassification result =
         net_->classify_with_conv1(rconv, *input, seed);
     const HybridClassification golden =

@@ -46,10 +46,11 @@ struct MemoryCampaignConfig {
   std::size_t scrub_interval = 1;
 };
 
-/// Runs memory-fault campaigns against one HybridNetwork. Construction
-/// snapshots the pristine conv1 parameters once; each run builds its own
-/// corrupted kernel from the snapshot, so the network itself is never
-/// mutated and campaigns may share it with concurrent classify traffic.
+/// Runs memory-fault campaigns against one HybridNetwork. The network's
+/// reliable_conv1() is the pristine kernel; each run builds its own
+/// corrupted kernel from a copy of its parameters, so the network itself
+/// is never mutated and campaigns may share it with concurrent classify
+/// traffic.
 class MemoryFaultCampaign {
  public:
   /// `net` must outlive the campaign. Throws if `config.scrub_interval`
@@ -90,11 +91,6 @@ class MemoryFaultCampaign {
  private:
   const HybridNetwork* net_;
   MemoryCampaignConfig config_;
-  // Pristine conv1 snapshot (weights, bias, geometry) taken at
-  // construction; the per-run corruption source.
-  tensor::Tensor weights_;
-  tensor::Tensor bias_;
-  reliable::ConvSpec spec_;
 };
 
 }  // namespace hybridcnn::core

@@ -4,8 +4,8 @@
 
 namespace hybridcnn::nn {
 
-Sgd::Sgd(float learning_rate, float momentum, float weight_decay)
-    : lr_(learning_rate), momentum_(momentum), weight_decay_(weight_decay) {
+Sgd::Sgd(float learning_rate, float momentum)
+    : lr_(learning_rate), momentum_(momentum) {
   if (learning_rate <= 0.0f) {
     throw std::invalid_argument("Sgd: learning rate must be positive");
   }
@@ -25,8 +25,7 @@ void Sgd::step(Layer& net) {
 
     if (momentum_ == 0.0f) {
       for (std::size_t i = 0; i < value.count(); ++i) {
-        const float g = grad[i] + weight_decay_ * value[i];
-        value[i] -= lr_ * g;
+        value[i] -= lr_ * grad[i];
       }
       continue;
     }
@@ -37,8 +36,7 @@ void Sgd::step(Layer& net) {
       throw std::logic_error("Sgd: velocity shape mismatch for " + p.name);
     }
     for (std::size_t i = 0; i < value.count(); ++i) {
-      const float g = grad[i] + weight_decay_ * value[i];
-      vel[i] = momentum_ * vel[i] - lr_ * g;
+      vel[i] = momentum_ * vel[i] - lr_ * grad[i];
       value[i] += vel[i];
     }
   }

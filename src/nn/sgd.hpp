@@ -15,8 +15,7 @@ namespace hybridcnn::nn {
 /// velocity also decays to zero).
 class Sgd {
  public:
-  explicit Sgd(float learning_rate, float momentum = 0.0f,
-               float weight_decay = 0.0f);
+  explicit Sgd(float learning_rate, float momentum = 0.0f);
 
   /// Applies one update step to every parameter of `net` using the
   /// gradients accumulated since the last zero_grad().
@@ -31,7 +30,6 @@ class Sgd {
  private:
   float lr_;
   float momentum_;
-  float weight_decay_;
   std::unordered_map<const tensor::Tensor*, tensor::Tensor> velocity_;
 };
 

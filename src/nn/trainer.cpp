@@ -84,7 +84,7 @@ std::vector<EpochStats> train(Sequential& net,
                               const std::vector<data::Example>& examples,
                               const TrainConfig& config) {
   if (examples.empty()) throw std::invalid_argument("train: no examples");
-  Sgd sgd(config.learning_rate, config.momentum, config.weight_decay);
+  Sgd sgd(config.learning_rate, config.momentum);
   net.set_training(true);
 
   // Cache contexts persist across steps (and epochs) so dropout layers

@@ -28,7 +28,6 @@ struct TrainConfig {
   std::size_t batch_size = 16;
   float learning_rate = 0.05f;
   float momentum = 0.9f;
-  float weight_decay = 0.0f;
   /// Concurrent micro-batch contexts per step. 1 (default) runs the
   /// classic serial step — one full-batch forward/backward — and is
   /// bit-identical to the historical trainer. Values > 1 fan the forward

@@ -2,10 +2,15 @@
 // behaviour and the footprint (cost split) argument.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "core/hybrid_network.hpp"
 #include "core/shape_qualifier.hpp"
+#include "data/dataset.hpp"
 #include "data/renderer.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/filters.hpp"
@@ -15,6 +20,7 @@
 #include "nn/alexnet.hpp"
 #include "nn/maxpool.hpp"
 #include "nn/relu.hpp"
+#include "nn/trainer.hpp"
 #include "reliable/executor.hpp"
 
 namespace {
@@ -53,13 +59,27 @@ HybridClassification classify_once(const HybridNetwork& net,
   return net.classify(img, seeds);
 }
 
+// The wrapped model is read-only: training happens before wrapping.
+static_assert(std::is_same_v<decltype(std::declval<HybridNetwork&>().cnn()),
+                             const nn::Sequential&>);
+
 TEST(HybridNetwork, ConstructionInstallsAndFreezesSobelFilter) {
   HybridConfig cfg;
   cfg.dependable_filter = 2;
   HybridNetwork hybrid(make_testnet(), 0, cfg);
-  auto& conv1 = hybrid.cnn().layer_as<nn::Conv2d>(0);
+  const auto& conv1 = hybrid.cnn().layer_as<nn::Conv2d>(0);
   EXPECT_TRUE(conv1.filter_frozen(2));
   EXPECT_EQ(conv1.filter(2), nn::sobel_filter(3, 7));
+  // The reliable kernel is built from the installed weights.
+  EXPECT_TRUE(tensor::bit_identical(hybrid.reliable_conv1().weights(),
+                                    conv1.weights()));
+
+  // The free pre-initialisation installs the same filter on a bare model.
+  auto bare = make_testnet();
+  core::install_dependable_filters(*bare, 0, cfg);
+  const auto& bare_conv1 = bare->layer_as<nn::Conv2d>(0);
+  EXPECT_TRUE(bare_conv1.filter_frozen(2));
+  EXPECT_EQ(bare_conv1.filter(2), nn::sobel_filter(3, 7));
 }
 
 TEST(HybridNetwork, ConstructionValidation) {
@@ -72,6 +92,78 @@ TEST(HybridNetwork, ConstructionValidation) {
   // Layer 1 is a ReLU, not a Conv2d.
   EXPECT_THROW(HybridNetwork(make_testnet(), 1, HybridConfig{}),
                std::bad_cast);
+
+  EXPECT_THROW(core::install_dependable_filters(*make_testnet(), 0, cfg),
+               std::invalid_argument);
+  EXPECT_THROW(
+      core::install_dependable_filters(*make_testnet(), 1, HybridConfig{}),
+      std::bad_cast);
+}
+
+/// Two epochs of SGD with momentum over a model whose dependable filters
+/// were installed first, then the wrap: the frozen filters must come out
+/// of training bit-identical to the Sobel kernels, and wrapping must
+/// neither move a conv1 bit nor build its reliable kernel from anything
+/// but those bits.
+void expect_train_then_wrap_keeps_filters(QualifierSource source) {
+  HybridConfig cfg;
+  cfg.qualifier.source = source;
+  cfg.dependable_filter = 2;
+  const bool pair = source == QualifierSource::kDependableFeatureMapPair;
+
+  auto cnn = std::make_unique<nn::Sequential>();
+  cnn->emplace<nn::Conv2d>(3, 8, 7, 2, 0);  // 32 -> 13
+  cnn->emplace<nn::ReLU>();
+  cnn->emplace<nn::Flatten>();
+  cnn->emplace<nn::Linear>(8 * 13 * 13, data::kNumClasses);
+  nn::init_network(*cnn, 5);
+  core::install_dependable_filters(*cnn, 0, cfg);
+  const Tensor initial = cnn->layer_as<nn::Conv2d>(0).weights();
+  const Tensor initial_bias = cnn->layer_as<nn::Conv2d>(0).bias();
+
+  nn::TrainConfig tc;
+  tc.epochs = 2;
+  tc.batch_size = 10;
+  tc.learning_rate = 0.01f;
+  tc.momentum = 0.9f;
+  nn::train(*cnn, data::make_dataset(4, data::DatasetConfig{}, 17), tc);
+
+  const auto& trained = cnn->layer_as<nn::Conv2d>(0);
+  ASSERT_FALSE(tensor::bit_identical(trained.weights(), initial))
+      << "training moved no conv1 weight";
+  if (pair) {
+    EXPECT_TRUE(tensor::bit_identical(
+        trained.filter(2), nn::sobel_axis_filter(3, 7, nn::SobelAxis::kX)));
+    EXPECT_TRUE(tensor::bit_identical(
+        trained.filter(3), nn::sobel_axis_filter(3, 7, nn::SobelAxis::kY)));
+  } else {
+    EXPECT_TRUE(
+        tensor::bit_identical(trained.filter(2), nn::sobel_filter(3, 7)));
+  }
+  for (std::size_t f = 2; f <= (pair ? 3u : 2u); ++f) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(trained.bias()[f]),
+              std::bit_cast<std::uint32_t>(initial_bias[f]))
+        << "frozen bias " << f << " moved";
+  }
+  const Tensor weights = trained.weights();
+  const Tensor bias = trained.bias();
+
+  const HybridNetwork hybrid(std::move(cnn), 0, cfg);
+  const auto& conv1 = hybrid.cnn().layer_as<nn::Conv2d>(0);
+  EXPECT_TRUE(tensor::bit_identical(conv1.weights(), weights));
+  EXPECT_TRUE(tensor::bit_identical(conv1.bias(), bias));
+  EXPECT_TRUE(
+      tensor::bit_identical(hybrid.reliable_conv1().weights(), weights));
+  EXPECT_TRUE(tensor::bit_identical(hybrid.reliable_conv1().bias(), bias));
+}
+
+TEST(HybridNetwork, TrainThenWrapKeepsDependableFilterBits) {
+  expect_train_then_wrap_keeps_filters(QualifierSource::kDependableFeatureMap);
+}
+
+TEST(HybridNetwork, TrainThenWrapKeepsDependablePairBits) {
+  expect_train_then_wrap_keeps_filters(
+      QualifierSource::kDependableFeatureMapPair);
 }
 
 TEST(HybridNetwork, FaultFreeClassifyProducesQualifiedEvidence) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/hybrid_network.hpp"
 #include "data/dataset.hpp"
@@ -59,18 +60,20 @@ data::DatasetConfig image96() {
 
 TEST(Integration, TrainedHybridQualifiesTrueStopAndDemotesImpostors) {
   // Train the CNN (with the dependable Sobel filter already installed and
-  // frozen, as the hybrid workflow prescribes), then check the combined
-  // decisions on clean test renders.
+  // frozen, as the hybrid workflow prescribes), wrap it, then check the
+  // combined decisions on clean test renders.
   HybridConfig cfg;
   cfg.critical_classes = {static_cast<int>(data::SignClass::kStop)};
-  HybridNetwork hybrid(make_trainable_net(31), 0, cfg);
+  auto cnn = make_trainable_net(31);
+  core::install_dependable_filters(*cnn, 0, cfg);
 
   const auto train_data = data::make_dataset(25, image96(), 301);
   nn::TrainConfig tc;
   tc.epochs = 5;
   tc.batch_size = 25;
   tc.learning_rate = 0.01f;
-  nn::train(hybrid.cnn(), train_data, tc);
+  nn::train(*cnn, train_data, tc);
+  const HybridNetwork hybrid(std::move(cnn), 0, cfg);
 
   // A clean stop sign: prediction stop, qualified reliable.
   FaultSeedStream seeds = hybrid.seed_stream();

@@ -60,13 +60,18 @@ TEST(QualifierSources, PairSourceInstallsTwoFrozenFilters) {
   cfg.qualifier.source = QualifierSource::kDependableFeatureMapPair;
   cfg.dependable_filter = 3;
   HybridNetwork hybrid(make_net(128), 0, cfg);
-  auto& conv1 = hybrid.cnn().layer_as<nn::Conv2d>(0);
-  EXPECT_TRUE(conv1.filter_frozen(3));
-  EXPECT_TRUE(conv1.filter_frozen(4));
-  EXPECT_EQ(conv1.filter(3),
-            nn::sobel_axis_filter(3, 7, nn::SobelAxis::kX));
-  EXPECT_EQ(conv1.filter(4),
-            nn::sobel_axis_filter(3, 7, nn::SobelAxis::kY));
+  auto bare = make_net(128);
+  core::install_dependable_filters(*bare, 0, cfg);
+  const nn::Sequential& installed = *bare;
+  for (const nn::Sequential* net : {&hybrid.cnn(), &installed}) {
+    const auto& conv1 = net->layer_as<nn::Conv2d>(0);
+    EXPECT_TRUE(conv1.filter_frozen(3));
+    EXPECT_TRUE(conv1.filter_frozen(4));
+    EXPECT_EQ(conv1.filter(3),
+              nn::sobel_axis_filter(3, 7, nn::SobelAxis::kX));
+    EXPECT_EQ(conv1.filter(4),
+              nn::sobel_axis_filter(3, 7, nn::SobelAxis::kY));
+  }
 }
 
 TEST(QualifierSources, PairSourceValidatesFilterRange) {
